@@ -7,14 +7,11 @@ All values are exact: arbitrary-precision integers and reduced rationals.
 __version__ = "0.1.0"
 
 from .exactnum import (
-    Integer,
-    Rational,
     IntegrityError,
     InexactDivisionError,
     exact_div,
     factorial,
     binomial,
-    binomial_cached,
     central_binomial,
 )
 from .supercat import (
@@ -59,8 +56,8 @@ from .verifier import (
 )
 
 __all__ = [
-    "Integer", "Rational", "IntegrityError", "InexactDivisionError",
-    "exact_div", "factorial", "binomial", "binomial_cached", "central_binomial",
+    "IntegrityError", "InexactDivisionError",
+    "exact_div", "factorial", "binomial", "central_binomial",
     "super_catalan", "super_catalan_ratio", "super_catalan_factorial",
     "super_catalan_von_szily", "catalan", "phi",
     "psi", "psi_t", "p_sum", "r_sum", "r_prime_sum", "r_dprime_sum", "t_sum",

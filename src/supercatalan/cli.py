@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import __version__, dsums, sums, supercat, verifier
 
@@ -24,68 +25,21 @@ class _UsageError(Exception):
     pass
 
 
-def _kind_super_catalan(p):
-    return supercat.super_catalan(p["n"], p["l"])
-
-
-def _kind_catalan(p):
-    return supercat.catalan(p["n"])
-
-
-def _kind_psi(p):
-    return sums.psi(p["n"], p["m"], p["l"])
-
-
-def _kind_psi_t(p):
-    return sums.psi_t(p["n"], p["t"], p["l"])
-
-
-def _kind_phi(p):
-    return supercat.phi(p["n"], p["l"], p["t"])
-
-
-def _kind_p(p):
-    return sums.p_sum(p["n"], p["t"], p["l"])
-
-
-def _kind_r(p):
-    return sums.r_sum(p["n"], p["t"], p["l"])
-
-
-def _kind_r_prime(p):
-    return sums.r_prime_sum(p["n"], p["t"], p["l"])
-
-
-def _kind_r_dprime(p):
-    return sums.r_dprime_sum(p["n"], p["t"], p["l"])
-
-
-def _kind_t_sum(p):
-    return sums.t_sum(p["n"], p["t"], p["l"])
-
-
-def _kind_d_sum(p):
-    return dsums.d_sum_direct(dsums.psi_summand, p["n"], p["j"], p["t"], p["l"])
-
-
-def _kind_q(p):
-    return dsums.q_sum(p["n"], p["s"], p["l"])
-
-
-# kind -> (required parameter flags, evaluator)
+# kind -> (parameter flags, evaluator); the evaluator takes the parameters
+# positionally in the order listed, and every one of them is required
 _KINDS = {
-    "super-catalan": (("n", "l"), _kind_super_catalan),
-    "catalan": (("n",), _kind_catalan),
-    "psi": (("n", "m", "l"), _kind_psi),
-    "psi-t": (("n", "t", "l"), _kind_psi_t),
-    "phi": (("n", "l", "t"), _kind_phi),
-    "p": (("n", "t", "l"), _kind_p),
-    "r": (("n", "t", "l"), _kind_r),
-    "r-prime": (("n", "t", "l"), _kind_r_prime),
-    "r-dprime": (("n", "t", "l"), _kind_r_dprime),
-    "t-sum": (("n", "t", "l"), _kind_t_sum),
-    "d-sum": (("n", "j", "t", "l"), _kind_d_sum),
-    "q": (("n", "s", "l"), _kind_q),
+    "super-catalan": (("n", "l"), supercat.super_catalan),
+    "catalan": (("n",), supercat.catalan),
+    "psi": (("n", "m", "l"), sums.psi),
+    "psi-t": (("n", "t", "l"), sums.psi_t),
+    "phi": (("n", "l", "t"), supercat.phi),
+    "p": (("n", "t", "l"), sums.p_sum),
+    "r": (("n", "t", "l"), sums.r_sum),
+    "r-prime": (("n", "t", "l"), sums.r_prime_sum),
+    "r-dprime": (("n", "t", "l"), sums.r_dprime_sum),
+    "t-sum": (("n", "t", "l"), sums.t_sum),
+    "d-sum": (("n", "j", "t", "l"), partial(dsums.d_sum_direct, dsums.psi_summand)),
+    "q": (("n", "s", "l"), dsums.q_sum),
 }
 
 _COMPUTE_EPILOG = """\
@@ -156,7 +110,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if extra:
         raise _UsageError(f"compute {args.kind} does not take {', '.join(extra)}")
     try:
-        value = evaluate(provided)
+        value = evaluate(*(provided[flag] for flag in required))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     print(value)

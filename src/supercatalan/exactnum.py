@@ -10,25 +10,15 @@ formula promises to be exact is checked at runtime.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import lru_cache
 
 __all__ = [
-    "Integer",
-    "Rational",
     "IntegrityError",
     "InexactDivisionError",
     "exact_div",
     "factorial",
     "binomial",
-    "binomial_cached",
     "central_binomial",
 ]
-
-# Semantic aliases. The built-in types already satisfy everything required
-# of them here, so no wrapper classes.
-Integer = int
-Rational = Fraction
 
 
 class IntegrityError(ArithmeticError):
@@ -64,16 +54,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-@lru_cache(maxsize=None)
-def binomial_cached(n: int, k: int) -> int:
-    """Memoized binomial for sweep workloads that revisit a small table.
-
-    The cache is append-only and values are pure, so concurrent readers
-    are safe even if two threads race to fill the same cell.
-    """
-    return binomial(n, k)
 
 
 def central_binomial(n: int) -> int:

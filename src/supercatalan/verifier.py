@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import dsums, sums, supercat
-from .exactnum import IntegrityError, binomial, central_binomial, exact_div
+from .exactnum import binomial, central_binomial, exact_div
 
 __all__ = [
     "CheckResult",
@@ -81,11 +81,15 @@ class GridBounds:
     m_max: int = 5
 
     def __post_init__(self) -> None:
-        for name in ("n_max", "l_max", "m_max"):
-            if getattr(self, name) < 0:
+        for name in ("n_max", "l_max", "t_max", "m_max"):
+            value = getattr(self, name)
+            if value is None and name == "t_max":
+                continue
+            # bool is an int subclass, but True as a bound is a caller bug
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.t_max is not None and self.t_max < 0:
-            raise ValueError("t_max must be non-negative")
 
     def describe(self) -> str:
         t = "n" if self.t_max is None else str(self.t_max)
@@ -462,7 +466,8 @@ def _evaluate(spec: IdentitySpec, point: Point) -> CheckResult:
     n, l, t, m = point
     try:
         lhs, rhs = spec.check(n, l, t, m)
-    except (IntegrityError, ValueError, ZeroDivisionError) as exc:
+    except Exception as exc:
+        # any error is a failed point: it must not abort a sweep or a pool
         return CheckResult(spec.name, n, l, t, m, "", "",
                            "fail", f"{type(exc).__name__}: {exc}")
     if spec.relation == "remainder-nonzero":

@@ -1,11 +1,13 @@
 """Alternating convolution sums: frozen values, vanishing, cross-relations."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from supercatalan import sums
 from supercatalan.sums import (
     p_sum,
     psi,
@@ -65,18 +67,62 @@ def test_t_sum_frozen_values():
     assert t_sum(2, 1, 0) == 0
 
 
-def test_matches_oracle_on_grid():
-    for n in range(9):
-        for l in range(4):
-            for m in range(1, 4):
-                assert psi(n, m, l) == _oracle.psi(n, m, l)
+INT_SUMS = {"psi_t": psi_t, "p_sum": p_sum}
+RATIONAL_SUMS = {"r_sum": r_sum, "r_prime_sum": r_prime_sum,
+                 "r_dprime_sum": r_dprime_sum, "t_sum": t_sum}
+
+
+def _agrees_with_oracle(n, t, l):
+    for name, f in INT_SUMS.items():
+        value = f(n, t, l)
+        assert type(value) is int and value == getattr(_oracle, name)(n, t, l)
+    for name, f in RATIONAL_SUMS.items():
+        value = f(n, t, l)
+        assert type(value) is Fraction and value == getattr(_oracle, name)(n, t, l)
+
+
+@pytest.fixture
+def memo_oracle(monkeypatch):
+    # the definitional S recomputes factorials on every call; memoizing it
+    # keeps the oracle's route and makes the n <= 60 grid affordable
+    monkeypatch.setattr(_oracle, "S", lru_cache(maxsize=None)(_oracle.S))
+
+
+def test_matches_oracle_on_grid(memo_oracle):
+    for n in range(61):
+        for l in range(7):
+            for m in range(1, 5):
+                value = psi(n, m, l)
+                assert type(value) is int and value == _oracle.psi(n, m, l)
             for t in range(n // 2 + 1):
-                assert psi_t(n, t, l) == _oracle.psi_t(n, t, l)
-                assert p_sum(n, t, l) == _oracle.p_sum(n, t, l)
-                assert r_sum(n, t, l) == _oracle.r_sum(n, t, l)
-                assert r_prime_sum(n, t, l) == _oracle.r_prime_sum(n, t, l)
-                assert r_dprime_sum(n, t, l) == _oracle.r_dprime_sum(n, t, l)
-                assert t_sum(n, t, l) == _oracle.t_sum(n, t, l)
+                _agrees_with_oracle(n, t, l)
+
+
+def test_matches_oracle_at_length_200(memo_oracle):
+    for m in range(1, 5):
+        assert psi(200, m, 3) == _oracle.psi(200, m, 3)
+    for t, l in ((0, 0), (37, 5), (100, 2), (93, 17)):
+        _agrees_with_oracle(200, t, l)
+    _agrees_with_oracle(199, 12, 4)
+
+
+def test_each_sum_takes_at_most_two_s_values(monkeypatch):
+    # S values seed the first term only; the rest follow by the term ratio
+    calls = []
+
+    def counting_s(n, l):
+        calls.append((n, l))
+        return super_catalan(n, l)
+
+    monkeypatch.setattr(sums, "super_catalan", counting_s)
+    for n in (0, 7, 40, 300):
+        calls.clear()
+        psi(n, 3, 2)
+        assert len(calls) <= 2
+        for f in (*INT_SUMS.values(), *RATIONAL_SUMS.values()):
+            calls.clear()
+            f(n, n // 4, 2)
+            assert len(calls) <= 2, f.__name__
 
 
 def test_odd_length_vanishing():

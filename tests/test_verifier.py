@@ -181,6 +181,14 @@ def test_grid_bounds_validation_and_description():
         GridBounds(t_max=-2)
 
 
+@pytest.mark.parametrize("bounds", [{"n_max": 2.5}, {"n_max": True},
+                                    {"l_max": "3"}, {"t_max": False}])
+def test_grid_bounds_reject_non_int(bounds):
+    # a float used to fail later, as a TypeError from range inside the sweep
+    with pytest.raises(TypeError, match="must be an int"):
+        GridBounds(**bounds)
+
+
 def test_register_rejects_duplicates_and_bad_relations():
     spec = get_identity("thm1")
     with pytest.raises(ValueError):
@@ -224,6 +232,29 @@ def test_raising_check_becomes_failure_with_reason():
         assert result.lhs == result.rhs == ""
     finally:
         REGISTRY.pop("always-raises")
+
+
+def test_unexpected_exception_becomes_failure_with_reason():
+    def explode(n, l, t, m):
+        raise KeyError("synthetic")
+
+    _with_temporary_identity("raises-keyerror", explode)
+    try:
+        (result,) = sweep(["raises-keyerror"], GridBounds(n_max=0, l_max=0)).results
+        assert result.status == "fail"
+        assert result.reason == "KeyError: 'synthetic'"
+    finally:
+        REGISTRY.pop("raises-keyerror")
+
+
+def test_run_check_deep_witness_does_not_raise():
+    # cold, this point recursed past the interpreter limit and escaped as
+    # RecursionError; whatever goes wrong must come back as a fail row
+    result = run_check("thm3", n=3, l=1, m=3000)
+    assert isinstance(result, CheckResult)
+    assert result.status in ("pass", "fail")
+    if result.status == "fail":
+        assert result.reason.split(":")[0].endswith("Error")
 
 
 def test_human_report_shape():
