@@ -6,66 +6,12 @@ All values are exact: arbitrary-precision integers and reduced rationals.
 
 __version__ = "0.1.0"
 
-from .exactnum import (
-    IntegrityError,
-    InexactDivisionError,
-    exact_div,
-    factorial,
-    binomial,
-    central_binomial,
-)
-from .supercat import (
-    super_catalan,
-    super_catalan_ratio,
-    super_catalan_factorial,
-    super_catalan_von_szily,
-    catalan,
-    phi,
-)
-from .sums import psi, psi_t, p_sum, r_sum, r_prime_sum, r_dprime_sum, t_sum
-from .dsums import (
-    Summand,
-    psi_summand,
-    unit_summand,
-    d_sum_direct,
-    d_sum_step,
-    a_t,
-    d_sum_base,
-    q_sum,
-    q_scaled,
-    d_psi_base_closed,
-    d_psi_level1,
-    psi_quotient_witness,
-    DivisionCheck,
-    division_check,
-    psi_divisibility_check,
-)
-from .verifier import (
-    CheckResult,
-    GridBounds,
-    IdentitySpec,
-    Report,
-    registry_ids,
-    get_identity,
-    register,
-    run_check,
-    sweep,
-    to_jsonl,
-    to_csv,
-    to_human,
-)
+from .exactnum import *
+from .supercat import *
+from .sums import *
+from .dsums import *
+from .verifier import *
 
-__all__ = [
-    "IntegrityError", "InexactDivisionError",
-    "exact_div", "factorial", "binomial", "central_binomial",
-    "super_catalan", "super_catalan_ratio", "super_catalan_factorial",
-    "super_catalan_von_szily", "catalan", "phi",
-    "psi", "psi_t", "p_sum", "r_sum", "r_prime_sum", "r_dprime_sum", "t_sum",
-    "Summand", "psi_summand", "unit_summand", "d_sum_direct", "d_sum_step",
-    "a_t", "d_sum_base", "q_sum", "q_scaled", "d_psi_base_closed",
-    "d_psi_level1", "psi_quotient_witness", "DivisionCheck", "division_check",
-    "psi_divisibility_check",
-    "CheckResult", "GridBounds", "IdentitySpec", "Report", "registry_ids",
-    "get_identity", "register", "run_check", "sweep", "to_jsonl", "to_csv",
-    "to_human",
-]
+# importing a submodule binds its name here, so its __all__ is in reach
+__all__ = [*exactnum.__all__, *supercat.__all__, *sums.__all__, *dsums.__all__,
+           *verifier.__all__]

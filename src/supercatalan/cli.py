@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from functools import partial
 
 from . import __version__, dsums, sums, supercat, verifier
@@ -24,6 +25,12 @@ __all__ = ["main"]
 class _UsageError(Exception):
     pass
 
+
+# grid bound names as GridBounds fields; the flags spell them --n-max etc.
+_BOUNDS = tuple(f.name for f in fields(verifier.GridBounds))
+
+# every compute parameter flag, in --help order
+_COMPUTE_FLAGS = ("n", "l", "t", "m", "j", "s")
 
 # kind -> (parameter flags, evaluator); the evaluator takes the parameters
 # positionally in the order listed, and every one of them is required
@@ -65,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_COMPUTE_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     comp.add_argument("kind", choices=sorted(_KINDS))
-    for flag in ("n", "l", "t", "m", "j", "s"):
+    for flag in _COMPUTE_FLAGS:
         comp.add_argument(f"--{flag}", type=int, default=None)
     comp.set_defaults(func=_cmd_compute)
 
@@ -74,10 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--id", action="append", default=None, metavar="IDENTITY",
                        help="identity to check (repeatable)")
         p.add_argument("--all", action="store_true", help="check every identity")
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--l-max", type=int, default=None)
-        p.add_argument("--t-max", type=int, default=None)
-        p.add_argument("--m-max", type=int, default=None)
+        for name in _BOUNDS:
+            p.add_argument(f"--{name.replace('_', '-')}", type=int, default=None)
         p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--output", default=None, metavar="PATH")
         p.add_argument("--jobs", type=int, default=1)
@@ -87,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="sweep identities over a grid")
     add_sweep_args(ver, ("json", "csv", "human"), "human")
     ver.add_argument("--default-grid", action="store_true",
-                     help=f"use the default grid ({verifier.DEFAULT_GRID_NOTE})")
+                     help=f"use the default grid ({verifier.GridBounds().describe()})")
     ver.set_defaults(func=_cmd_verify)
 
     swp = sub.add_parser(
@@ -100,8 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     required, evaluate = _KINDS[args.kind]
-    provided = {flag: getattr(args, flag)
-                for flag in ("n", "l", "t", "m", "j", "s")
+    provided = {flag: getattr(args, flag) for flag in _COMPUTE_FLAGS
                 if getattr(args, flag) is not None}
     missing = [f"--{flag}" for flag in required if flag not in provided]
     if missing:
@@ -130,23 +134,16 @@ def _selected_ids(args: argparse.Namespace) -> list[str]:
     raise _UsageError("select identities with --all or --id")
 
 
+def _given_bounds(args: argparse.Namespace) -> dict[str, int]:
+    return {name: getattr(args, name) for name in _BOUNDS
+            if getattr(args, name) is not None}
+
+
 def _grid_from(args: argparse.Namespace) -> verifier.GridBounds:
-    default = verifier.GridBounds()
     try:
-        return verifier.GridBounds(
-            n_max=args.n_max if args.n_max is not None else default.n_max,
-            l_max=args.l_max if args.l_max is not None else default.l_max,
-            t_max=args.t_max,
-            m_max=args.m_max if args.m_max is not None else default.m_max,
-        )
+        return verifier.GridBounds(**_given_bounds(args))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-
-
-def _explicit_bounds(args: argparse.Namespace) -> list[str]:
-    return [f"--{name.replace('_', '-')}"
-            for name in ("n_max", "l_max", "t_max", "m_max")
-            if getattr(args, name) is not None]
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -169,13 +166,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.default_grid and _explicit_bounds(args):
+    if args.default_grid and _given_bounds(args):
         raise _UsageError("--default-grid excludes explicit bounds")
     return _run_sweep(args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if not _explicit_bounds(args):
+    if not _given_bounds(args):
         raise _UsageError("sweep requires at least one explicit grid bound")
     return _run_sweep(args)
 

@@ -178,9 +178,7 @@ def d_psi_base_closed(n: int, j: int, l: int) -> tuple[int, Fraction]:
 
     Returns the integer value together with the factored rational cofactor
 
-        cofactor = sum_u (-1)^(j+u) binomial(2(j+u), j+u)
-                   binomial(2(n+l-j-u), n+l-j-u) binomial(2n-j, n)
-                   binomial(n-j, u) / binomial(2n+l-j-u, n)
+        cofactor = (-1)^j binomial(2n-j, n) q_sum(n, j, l)
 
     so divisibility by S(n, l) is witnessed constructively whenever the
     cofactor happens to be integral (it is rational in general, only the
@@ -189,12 +187,7 @@ def d_psi_base_closed(n: int, j: int, l: int) -> tuple[int, Fraction]:
     """
     if n < 0 or l < 0 or not 0 <= j <= n:
         raise ValueError(f"requires n, l >= 0 and 0 <= j <= n, got n={n}, j={j}, l={l}")
-    Fr = Fraction
-    cofactor = sum((Fr((-1) ** (j + u) * central_binomial(j + u)
-                       * central_binomial(n + l - j - u)
-                       * binomial(2 * n - j, n) * binomial(n - j, u),
-                       binomial(2 * n + l - j - u, n))
-                    for u in range(n - j + 1)), Fr(0))
+    cofactor = (-1) ** j * binomial(2 * n - j, n) * q_sum(n, j, l)
     product = super_catalan(n, l) * cofactor
     direct = d_sum_direct(psi_summand, 2 * n, j, 0, l)
     if product.denominator != 1 or int(product) != direct:
@@ -248,8 +241,8 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
     """Constructive quotient psi(2n, m, l) / S(n, l), no division performed.
 
     m = 1 comes from the product form of the full alternating convolution,
-    m = 2 from the level-0 closed form at j = 0, and m >= 3 from the
-    level-(m-2) witness row.
+    m = 2 from the level-0 closed form at j = 0, which is q_scaled(n, 0, l),
+    and m >= 3 from the level-(m-2) witness row.
     """
     if n < 0 or l < 0:
         raise ValueError(f"indices must be non-negative, got n={n}, l={l}")
@@ -258,9 +251,10 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
     if m == 1:
         return super_catalan(n + l, n)
     if m == 2:
-        return sum((-1) ** u * central_binomial(u) * super_catalan(n, n + l - u)
-                   * binomial(n, u)
-                   for u in range(n + 1))
+        return q_scaled(n, 0, l)
+    # lift one level at a time, so each row finds the one below it cached
+    for level in range(1, m - 2):
+        _witness_row(n, l, level)
     return _witness_row(n, l, m - 2)[0]
 
 

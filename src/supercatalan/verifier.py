@@ -15,7 +15,8 @@ sweep enumerates domains exactly).
 
 Parameter columns are fixed to (n, l, t, m). Identities over the level
 engine reuse the t column for their window offset j; their descriptions
-say so.
+say so. The field order of CheckResult is the column order of every record
+stream.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from . import dsums, sums, supercat
@@ -46,9 +49,6 @@ __all__ = [
     "to_csv",
     "to_human",
 ]
-
-DEFAULT_GRID_NOTE = "n<=10, l<=6, t<=n, m<=5"
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -71,6 +71,12 @@ class CheckResult:
     reason: str = ""
 
 
+_COLUMNS = tuple(f.name for f in fields(CheckResult))
+_PARAMS = _COLUMNS[1:5]  # the point coordinates (n, l, t, m)
+_row = attrgetter(*_COLUMNS)
+_point = attrgetter(*_PARAMS)
+
+
 @dataclass(frozen=True)
 class GridBounds:
     """Inclusive sweep bounds. t_max=None means t is limited only by n."""
@@ -81,7 +87,7 @@ class GridBounds:
     m_max: int = 5
 
     def __post_init__(self) -> None:
-        for name in ("n_max", "l_max", "t_max", "m_max"):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if value is None and name == "t_max":
                 continue
@@ -154,10 +160,7 @@ def _check_eq3(n, l, t, m):
 
 
 def _check_thm2(n, l, t, m):
-    S = supercat.super_catalan
-    lhs = sum((-1) ** k * binomial(2 * n - 2 * t, k - t) * S(k, l) * S(2 * n - k, l)
-              for k in range(t, 2 * n - t + 1))
-    return lhs, supercat.phi(n, l, t)
+    return dsums.a_t(dsums.psi_summand, 2 * n, t, l), supercat.phi(n, l, t)
 
 
 def _check_eq8(n, l, t, m):
@@ -292,10 +295,7 @@ def _check_eq94(n, l, t, m):
 
 
 def _check_eq104(n, l, t, m):
-    S = supercat.super_catalan
-    cofactor = sum((-1) ** u * central_binomial(u) * S(n, n + l - u) * binomial(n, u)
-                   for u in range(n + 1))
-    return sums.psi(2 * n, 2, l), S(n, l) * cofactor
+    return sums.psi(2 * n, 2, l), supercat.super_catalan(n, l) * dsums.q_scaled(n, 0, l)
 
 
 def _check_thm3(n, l, t, m):
@@ -457,11 +457,6 @@ def get_identity(name: str) -> IdentitySpec:
 # evaluation
 
 
-def _render(value) -> str:
-    # ints and Fractions both print as exact decimal strings
-    return str(value)
-
-
 def _evaluate(spec: IdentitySpec, point: Point) -> CheckResult:
     n, l, t, m = point
     try:
@@ -474,13 +469,14 @@ def _evaluate(spec: IdentitySpec, point: Point) -> CheckResult:
         ok = lhs != rhs
     else:
         ok = lhs == rhs
-    return CheckResult(spec.name, n, l, t, m, _render(lhs), _render(rhs),
+    # ints and Fractions both print as exact decimal strings
+    return CheckResult(spec.name, n, l, t, m, str(lhs), str(rhs),
                        "pass" if ok else "fail")
 
 
 def _normalize_point(spec: IdentitySpec, n, l, t, m) -> Point:
-    given = {"n": n, "l": l, "t": t, "m": m}
-    return tuple(given[p] if p in spec.params else None for p in ("n", "l", "t", "m"))
+    return tuple(v if p in spec.params else None
+                 for p, v in zip(_PARAMS, (n, l, t, m)))
 
 
 def run_check(name: str, *, n: int | None = None, l: int | None = None,
@@ -493,7 +489,7 @@ def run_check(name: str, *, n: int | None = None, l: int | None = None,
     """
     spec = get_identity(name)
     point = _normalize_point(spec, n, l, t, m)
-    missing = [p for p, v in zip(("n", "l", "t", "m"), point)
+    missing = [p for p, v in zip(_PARAMS, point)
                if p in spec.params and v is None]
     if missing:
         return CheckResult(spec.name, *point, "", "", "skipped",
@@ -520,9 +516,7 @@ def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[Point]:
 
 
 def _sort_key(result: CheckResult):
-    def v(x):
-        return -1 if x is None else x
-    return (result.identity, v(result.n), v(result.l), v(result.t), v(result.m))
+    return (result.identity, *[-1 if x is None else x for x in _point(result)])
 
 
 def _eval_task(task: tuple[str, Point]) -> CheckResult:
@@ -562,11 +556,12 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     tasks = [(name, point)
              for name in selected
              for point in _iter_points(REGISTRY[name], grid)]
-    if jobs == 1 or len(tasks) < 2:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_eval_task(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (8 * jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (8 * workers))
             results = list(pool.map(_eval_task, tasks, chunksize=chunk))
     results.sort(key=_sort_key)
     counts = {"pass": 0, "fail": 0, "skipped": 0}
@@ -587,8 +582,6 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
 # ---------------------------------------------------------------------------
 # serialization
 
-_COLUMNS = ("identity", "n", "l", "t", "m", "lhs", "rhs", "status", "reason")
-
 
 def to_jsonl(report: Report) -> str:
     """One JSON object per result, fixed key order, big values as strings.
@@ -596,12 +589,8 @@ def to_jsonl(report: Report) -> str:
     Record streams carry no timestamp, so equal sweeps serialize to equal
     bytes unconditionally.
     """
-    lines = []
-    for r in report.results:
-        row = {"identity": r.identity, "n": r.n, "l": r.l, "t": r.t, "m": r.m,
-               "lhs": r.lhs, "rhs": r.rhs, "status": r.status, "reason": r.reason}
-        lines.append(json.dumps(row, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+    return "".join(json.dumps(dict(zip(_COLUMNS, _row(r))), separators=(",", ":")) + "\n"
+                   for r in report.results)
 
 
 def to_csv(report: Report) -> str:
@@ -609,13 +598,7 @@ def to_csv(report: Report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)
-    for r in report.results:
-        writer.writerow([r.identity,
-                         "" if r.n is None else r.n,
-                         "" if r.l is None else r.l,
-                         "" if r.t is None else r.t,
-                         "" if r.m is None else r.m,
-                         r.lhs, r.rhs, r.status, r.reason])
+    writer.writerows(map(_row, report.results))
     return buf.getvalue()
 
 
@@ -646,8 +629,7 @@ def to_human(report: Report, show_timestamp: bool = True) -> str:
         lines.append("")
         lines.append("failures:")
         for r in bad:
-            point = ", ".join(f"{k}={v}" for k, v in
-                              zip(("n", "l", "t", "m"), (r.n, r.l, r.t, r.m))
+            point = ", ".join(f"{k}={v}" for k, v in zip(_PARAMS, _point(r))
                               if v is not None)
             detail = f"  {r.identity} at {point}: lhs={r.lhs} rhs={r.rhs}"
             if r.reason:

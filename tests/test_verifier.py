@@ -1,9 +1,13 @@
 """Registry contents, point checks, sweeps, and report serialization."""
 
+import hashlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+from supercatalan import verifier
 from supercatalan.verifier import (
     REGISTRY,
     CheckResult,
@@ -38,6 +42,11 @@ DEFAULT_GRID_COUNTS = {
     "remark4": 1, "symmetry": 77, "thm1": 77, "thm2": 462, "thm3": 385,
     "vonszily": 77,
 }
+
+# sha256 of the default-grid record streams; any change to a record or
+# column shows here
+DEFAULT_GRID_JSONL_SHA256 = "567ef750ad8317ab9299ac3a3928f75085c83e10f987d68b1581b7d18012c431"
+DEFAULT_GRID_CSV_SHA256 = "b1136fd84a340d5668f44437867e320d329e8871f25257deeacef23354db68b3"
 
 GOLDEN_THM1_JSONL = (
     '{"identity":"thm1","n":0,"l":0,"t":null,"m":null,'
@@ -154,6 +163,33 @@ def test_sweep_parallel_is_byte_identical():
     assert to_csv(solo) == to_csv(pooled)
 
 
+@pytest.mark.parametrize("cpus, pool_sizes", [(4, [4, 2]), (None, [])])
+def test_sweep_caps_workers_at_cpus_and_tasks(monkeypatch, cpus, pool_sizes):
+    sizes = []
+
+    class SerialPool:
+        # stands in for ProcessPoolExecutor: records its size, maps in process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+    grid = GridBounds(n_max=3, l_max=2)
+    pooled = sweep(["thm1", "eq18"], grid, jobs=10**6)
+    assert to_jsonl(pooled) == to_jsonl(sweep(["thm1", "eq18"], grid, jobs=1))
+    sweep(["thm1"], GridBounds(n_max=0, l_max=1), jobs=10**6)  # two tasks
+    assert sizes == pool_sizes
+
+
 def test_sweep_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sweep(["thm99"])
@@ -161,14 +197,26 @@ def test_sweep_rejects_bad_arguments():
         sweep(["thm1"], jobs=0)
 
 
-def test_default_grid_is_exhaustive_and_green():
-    report = sweep(registry_ids())
+@pytest.fixture(scope="module")
+def default_report():
+    return sweep(registry_ids())
+
+
+def test_default_grid_is_exhaustive_and_green(default_report):
+    report = default_report
     counts = Counter(r.identity for r in report.results)
     assert dict(counts) == DEFAULT_GRID_COUNTS
     assert len(report.results) == 8607
     assert report.failed == 0
     assert report.skipped == 0
     assert report.passed == 8607
+
+
+def test_default_grid_record_bytes_are_pinned(default_report):
+    jsonl = to_jsonl(default_report).encode()
+    csv_bytes = to_csv(default_report).encode()
+    assert hashlib.sha256(jsonl).hexdigest() == DEFAULT_GRID_JSONL_SHA256
+    assert hashlib.sha256(csv_bytes).hexdigest() == DEFAULT_GRID_CSV_SHA256
 
 
 def test_grid_bounds_validation_and_description():
@@ -248,13 +296,15 @@ def test_unexpected_exception_becomes_failure_with_reason():
 
 
 def test_run_check_deep_witness_does_not_raise():
-    # cold, this point recursed past the interpreter limit and escaped as
-    # RecursionError; whatever goes wrong must come back as a fail row
-    result = run_check("thm3", n=3, l=1, m=3000)
-    assert isinstance(result, CheckResult)
-    assert result.status in ("pass", "fail")
-    if result.status == "fail":
-        assert result.reason.split(":")[0].endswith("Error")
+    # a fresh interpreter, so no earlier sweep has warmed the witness rows:
+    # the 3000-level lift must not recurse once per level
+    code = ("from supercatalan.verifier import run_check\n"
+            "r = run_check('thm3', n=3, l=1, m=3000)\n"
+            "print(r.status, r.reason)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "pass \n"
 
 
 def test_human_report_shape():
