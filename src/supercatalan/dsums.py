@@ -23,6 +23,23 @@ integer cofactors upward through the level recurrence gives a constructive
 quotient psi(2n, m, l) / S(n, l) that never performs the division; that is
 what psi_quotient_witness returns and what psi_divisibility_check is
 validated against.
+
+No inner sum takes a binomial per term. Each binomial factor is taken once,
+for the first term, and walks from there by its exact ratio: one
+small-integer product and one quotient a term, exact by the identity it
+steps, e.g.
+
+    binomial(N, k+1)    = binomial(N, k) (N-k) / (k+1)
+    binomial(2w+2, w+1) = binomial(2w, w) 2(2w+1) / (w+1)
+
+The outer loops of d_sum_step and the base regroupings, each of whose terms
+runs an inner sum, and q_sum, which no sweep reaches, take binomial() per
+term. Each loop writes its steps out inline: at the lengths the sweeps run,
+a generator per factor costs about as much as the binomial it replaces. The
+routes share no code beyond that, so the cross-checks between them stay
+independent. A witness row weights the row below once, w[k] =
+binomial(2n, k) below[k], and each of its entries is then a walk of
+binomial(2n-j, k-j) against w.
 """
 
 from __future__ import annotations
@@ -61,7 +78,8 @@ Summand = Callable[[int, int, int], int]
 
 def psi_summand(n: int, k: int, l: int) -> int:
     """(-1)^k S(k, l) S(n-k, l), the alternating super Catalan summand."""
-    return (-1) ** k * super_catalan(k, l) * super_catalan(n - k, l)
+    v = super_catalan(k, l) * super_catalan(n - k, l)
+    return -v if k & 1 else v
 
 
 def unit_summand(n: int, k: int, l: int) -> int:
@@ -81,9 +99,15 @@ def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j)
     if t < 0:
         raise ValueError(f"level must be non-negative, got {t}")
-    return sum(binomial(n - j, u) * binomial(n - j, j + u)
-               * binomial(n, j + u) ** t * f(n, j + u, l)
-               for u in range(n - 2 * j + 1))
+    # a, b, c = binomial(n-j, u), binomial(n-j, k), binomial(n, k) at k = j+u
+    a, b, c = 1, binomial(n - j, j), binomial(n, j)
+    total = 0
+    for u, k in enumerate(range(j, n - j + 1)):
+        total += a * b * c ** t * f(n, k, l)
+        a = a * (n - j - u) // (u + 1)
+        b = b * (n - j - k) // (k + 1)
+        c = c * (n - k) // (k + 1)
+    return total
 
 
 def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
@@ -103,8 +127,12 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
 def a_t(f: Summand, n: int, t: int, l: int) -> int:
     """Windowed sum a_t(n) = sum_{k=t}^{n-t} binomial(n-2t, k-t) f(n, k, l)."""
     _check_window(n, t)
-    return sum(binomial(n - 2 * t, k - t) * f(n, k, l)
-               for k in range(t, n - t + 1))
+    c = 1  # binomial(n-2t, i) at k = t+i
+    total = 0
+    for i, k in enumerate(range(t, n - t + 1)):
+        total += c * f(n, k, l)
+        c = c * (n - 2 * t - i) // (i + 1)
+    return total
 
 
 def _base_windowed(f: Summand, n: int, j: int, l: int) -> int:
@@ -115,8 +143,11 @@ def _base_windowed(f: Summand, n: int, j: int, l: int) -> int:
 def _base_expanded(f: Summand, n: int, j: int, l: int) -> int:
     out = 0
     for u in range((n - 2 * j) // 2 + 1):
-        inner = sum(binomial(n - 2 * j - 2 * u, v) * f(n, j + u + v, l)
-                    for v in range(n - 2 * j - 2 * u + 1))
+        gap = n - 2 * j - 2 * u
+        c, inner = 1, 0  # binomial(gap, v)
+        for v in range(gap + 1):
+            inner += c * f(n, j + u + v, l)
+            c = c * (gap - v) // (v + 1)
         out += binomial(n - j, j + u) * binomial(n - 2 * j - u, u) * inner
     return out
 
@@ -168,9 +199,14 @@ def q_scaled(n: int, s: int, l: int) -> int:
     if n < 0 or l < 0 or not 0 <= s <= n:
         raise ValueError(f"q_scaled requires n, l >= 0 and 0 <= s <= n, "
                          f"got n={n}, s={s}, l={l}")
-    return sum((-1) ** v * central_binomial(s + v) * binomial(n - s, v)
-               * super_catalan(n, n + l - s - v)
-               for v in range(n - s + 1))
+    a, c = central_binomial(s), 1  # binomial(2(s+v), s+v), binomial(n-s, v)
+    total = 0
+    for v in range(n - s + 1):
+        x = a * c * super_catalan(n, n + l - s - v)
+        total += -x if v & 1 else x
+        a = a * 2 * (2 * (s + v) + 1) // (s + v + 1)
+        c = c * (n - s - v) // (v + 1)
+    return total
 
 
 def d_psi_base_closed(n: int, j: int, l: int) -> tuple[int, Fraction]:
@@ -199,9 +235,14 @@ def d_psi_base_closed(n: int, j: int, l: int) -> tuple[int, Fraction]:
 
 @lru_cache(maxsize=None)
 def _level1_cofactor(n: int, j: int, l: int) -> int:
-    return sum((-1) ** u * binomial(2 * n - j, u) * binomial(n, j + u)
-               * q_scaled(n, j + u, l)
-               for u in range(n - j + 1))
+    a, b = 1, binomial(n, j)  # binomial(2n-j, u), binomial(n, j+u)
+    total = 0
+    for u in range(n - j + 1):
+        x = a * b * q_scaled(n, j + u, l)
+        total += -x if u & 1 else x
+        a = a * (2 * n - j - u) // (u + 1)
+        b = b * (n - j - u) // (j + u + 1)
+    return total
 
 
 def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
@@ -231,10 +272,19 @@ def _witness_row(n: int, l: int, level: int) -> tuple[int, ...]:
     # level-1 cofactors up through the level recurrence. Signs ride along.
     if level == 1:
         return tuple((-1) ** j * _level1_cofactor(n, j, l) for j in range(n + 1))
-    below = _witness_row(n, l, level - 1)
-    return tuple(sum(binomial(2 * n, j + u) * binomial(2 * n - j, u) * below[j + u]
-                     for u in range(n - j + 1))
-                 for j in range(n + 1))
+    # entry j is sum_{k=j}^{n} binomial(2n-j, k-j) w[k], w[k] = binomial(2n, k) below[k]
+    w, c = [], 1
+    for k, x in enumerate(_witness_row(n, l, level - 1)):
+        w.append(c * x)
+        c = c * (2 * n - k) // (k + 1)
+    row = []
+    for j in range(n + 1):
+        c, total = 1, 0
+        for i in range(n - j + 1):
+            total += c * w[j + i]
+            c = c * (2 * n - j - i) // (i + 1)
+        row.append(total)
+    return tuple(row)
 
 
 def psi_quotient_witness(n: int, m: int, l: int) -> int:

@@ -515,10 +515,6 @@ def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[Point]:
                         yield (n, l, t, m)
 
 
-def _sort_key(result: CheckResult):
-    return (result.identity, *[-1 if x is None else x for x in _point(result)])
-
-
 def _eval_task(task: tuple[str, Point]) -> CheckResult:
     name, point = task
     return _evaluate(REGISTRY[name], point)
@@ -542,8 +538,8 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     """Exhaustively evaluate each named identity over its domain in the grid.
 
     The task list is enumerated in sorted identity order with lexicographic
-    points, and results are re-sorted the same way after evaluation, so the
-    report content does not depend on jobs.
+    points, and both the serial loop and the pool's map return results in
+    task order, so the report content does not depend on jobs.
     """
     if grid is None:
         grid = GridBounds()
@@ -563,7 +559,6 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (8 * workers))
             results = list(pool.map(_eval_task, tasks, chunksize=chunk))
-    results.sort(key=_sort_key)
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for r in results:
         counts[r.status] += 1

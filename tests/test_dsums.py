@@ -1,7 +1,9 @@
 """Engine coherence, closed layers, and the constructive divisibility pipeline."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -27,6 +29,7 @@ from supercatalan.dsums import (
 from supercatalan.exactnum import IntegrityError, central_binomial
 from supercatalan.sums import psi, psi_t
 from supercatalan.supercat import super_catalan
+from supercatalan.verifier import run_check
 
 import _oracle
 
@@ -191,3 +194,108 @@ def test_witness_domain_validation():
         psi_quotient_witness(-1, 1, 0)
     with pytest.raises(ValueError):
         d_psi_level1(2, 3, 0)
+
+
+SUMMANDS = ((psi_summand, _oracle.F_psi), (unit_summand, _oracle.F_one))
+
+
+@pytest.fixture
+def memo_oracle(monkeypatch):
+    # the definitional S recomputes factorials on every call; memoizing it
+    # keeps the oracle's route and makes the grid affordable
+    monkeypatch.setattr(_oracle, "S", lru_cache(maxsize=None)(_oracle.S))
+
+
+def _engine_agrees_with_oracle(n, j, l, levels):
+    # D(n, j, t) by every route, and a_j(n), for a sum of length n
+    for f, g in SUMMANDS:
+        for t in levels:
+            want = _oracle.d_direct(g, n, j, t, l)
+            assert d_sum_direct(f, n, j, t, l) == want
+            if t:
+                assert d_sum_step(f, n, j, t, l) == want
+        assert d_sum_base(f, n, j, l) == _oracle.d_direct(g, n, j, 0, l)
+        assert a_t(f, n, j, l) == _oracle.a_t(g, n, j, l)
+
+
+def _closed_forms_agree_with_oracle(n, s, l):
+    assert q_scaled(n, s, l) == _oracle.q_scaled(n, s, l)
+    assert q_sum(n, s, l) == _oracle.q_sum(n, s, l)
+    value, cofactor = d_psi_base_closed(n, s, l)
+    assert value == _oracle.d_direct(_oracle.F_psi, 2 * n, s, 0, l)
+    assert cofactor == (-1) ** s * _oracle.binom(2 * n - s, n) * _oracle.q_sum(n, s, l)
+    value, cofactor = d_psi_level1(n, s, l)
+    assert value == _oracle.d_direct(_oracle.F_psi, 2 * n, s, 1, l)
+    assert cofactor == sum((-1) ** u * _oracle.binom(2 * n - s, u) * _oracle.binom(n, s + u)
+                           * _oracle.q_scaled(n, s + u, l) for u in range(n - s + 1))
+
+
+def _witness_agrees_with_oracle(n, m, l):
+    quotient, remainder = divmod(_oracle.psi(2 * n, m, l), _oracle.S(n, l))
+    assert remainder == 0
+    assert psi_quotient_witness(n, m, l) == quotient
+
+
+def test_dsums_layer_matches_oracle_on_grid(memo_oracle):
+    for n in range(13):
+        for l in range(5):
+            for j in range(n // 2 + 1):
+                _engine_agrees_with_oracle(n, j, l, range(4))
+            for s in range(n + 1):
+                _closed_forms_agree_with_oracle(n, s, l)
+            for m in range(1, 7):
+                _witness_agrees_with_oracle(n, m, l)
+
+
+def test_dsums_layer_matches_oracle_at_length_120(memo_oracle):
+    _engine_agrees_with_oracle(120, 17, 3, (0, 2))
+    _closed_forms_agree_with_oracle(60, 13, 3)
+    _witness_agrees_with_oracle(60, 5, 3)
+
+
+def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
+    # a binomial factor is taken once at the start of its walk; the terms
+    # follow by exact ratios. The outer sums of d_sum_step and d_sum_base
+    # take their own factors per term, each term an inner sum.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dsums, "binomial", counting("binomial", dsums.binomial))
+    monkeypatch.setattr(dsums, "central_binomial",
+                        counting("central_binomial", dsums.central_binomial))
+    for j in (0, 1, 17, 40):
+        outer = (80 - 2 * j) // 2 + 1
+        for call, most in ((lambda: d_sum_direct(psi_summand, 80, j, 2, 3), 3),
+                           (lambda: a_t(psi_summand, 80, j, 3), 3),
+                           (lambda: d_sum_base(psi_summand, 80, j, 3), 4 * outer),
+                           (lambda: d_sum_step(psi_summand, 80, j, 2, 3), 5 * outer)):
+            calls.clear()
+            call()
+            assert sum(calls.values()) <= most, dict(calls)
+    n, l = 40, 2
+    q_scaled.cache_clear()
+    calls.clear()
+    q_scaled(n, 7, l)
+    assert sum(calls.values()) <= 1
+    dsums._witness_row.cache_clear()
+    dsums._witness_row(n, l, 1)
+    calls.clear()
+    dsums._witness_row(n, l, 2)  # one lift, the row below cached
+    assert sum(calls.values()) <= n + 1
+
+
+def test_closed_form_cross_checks_trip_when_direct_drifts(monkeypatch):
+    direct = dsums.d_sum_direct
+    monkeypatch.setattr(dsums, "d_sum_direct", lambda *args: direct(*args) + 1)
+    with pytest.raises(IntegrityError, match="closed level-1 form disagrees"):
+        d_psi_level1(3, 1, 2)
+    with pytest.raises(IntegrityError, match="closed level-0 form disagrees"):
+        d_psi_base_closed(3, 1, 2)
+    result = run_check("dlevel1", n=3, l=2, t=1)
+    assert result.status == "fail"
+    assert result.reason.startswith("IntegrityError: closed level-1 form disagrees at n=3, j=1, l=2")

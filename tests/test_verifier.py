@@ -190,6 +190,17 @@ def test_sweep_caps_workers_at_cpus_and_tasks(monkeypatch, cpus, pool_sizes):
     assert sizes == pool_sizes
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_results_come_in_key_order(jobs):
+    # sweep does not sort: tasks are enumerated in key order and kept in it
+    names = ["thm3", "parity", "eq13", "thm1", "eq18"]
+    report = sweep(names, GridBounds(n_max=5, l_max=2), jobs=jobs)
+    keys = [(r.identity, *(-1 if x is None else x for x in (r.n, r.l, r.t, r.m)))
+            for r in report.results]
+    assert len(set(r.identity for r in report.results)) == len(names)
+    assert keys == sorted(keys)
+
+
 def test_sweep_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sweep(["thm99"])
