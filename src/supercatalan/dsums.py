@@ -252,7 +252,8 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     q_scaled(n, j+u, l) is an integer built without dividing, so it is a
     constructive witness that S(n, l) divides the level-1 layer. The
     reconstructed value is cross-checked against the direct evaluation on
-    every call.
+    every call, and the direct value is what comes back, as in
+    d_psi_base_closed.
     """
     if n < 0 or l < 0 or not 0 <= j <= n:
         raise ValueError(f"requires n, l >= 0 and 0 <= j <= n, got n={n}, j={j}, l={l}")
@@ -263,7 +264,7 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
         raise IntegrityError(
             f"closed level-1 form disagrees at n={n}, j={j}, l={l}: "
             f"{value} vs direct {direct}")
-    return value, cofactor
+    return direct, cofactor
 
 
 @lru_cache(maxsize=None)

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -75,6 +74,8 @@ _COLUMNS = tuple(f.name for f in fields(CheckResult))
 _PARAMS = _COLUMNS[1:5]  # the point coordinates (n, l, t, m)
 _row = attrgetter(*_COLUMNS)
 _point = attrgetter(*_PARAMS)
+# one JSONL record: every key in column order, every value a %s slot
+_JSONL_LINE = "{" + ",".join(f"{encode_basestring_ascii(c)}:%s" for c in _COLUMNS) + "}\n"
 
 
 @dataclass(frozen=True)
@@ -321,11 +322,12 @@ def _check_remark4(n, l, t, m):
 
 
 def _check_dlevel1(n, l, t, m):
-    # t column carries the window offset j; d_psi_level1 cross-checks the
-    # reconstruction against the direct evaluation internally.
+    # t column carries the window offset j. d_psi_level1 returns the direct
+    # sum and raises if the closed product below differs from it, so the
+    # record sets the two routes side by side.
     j = t
-    value, cofactor = dsums.d_psi_level1(n, j, l)
-    return value, (-1) ** j * supercat.super_catalan(n, l) * cofactor
+    direct, cofactor = dsums.d_psi_level1(n, j, l)
+    return direct, (-1) ** j * supercat.super_catalan(n, l) * cofactor
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +487,14 @@ def run_check(name: str, *, n: int | None = None, l: int | None = None,
 
     Points outside the identity's domain, including points missing a
     required parameter, come back as skipped with a reason; an unknown
-    identity name raises ValueError.
+    identity name raises ValueError, and a parameter of the identity that
+    is not exactly an int (a bool, say) raises TypeError.
     """
     spec = get_identity(name)
     point = _normalize_point(spec, n, l, t, m)
+    for p, v in zip(_PARAMS, point):
+        if v is not None and type(v) is not int:
+            raise TypeError(f"{p} must be an int, got {v!r}")
     missing = [p for p, v in zip(_PARAMS, point)
                if p in spec.params and v is None]
     if missing:
@@ -545,10 +551,14 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
         grid = GridBounds()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1:
+        # the pool pulls in multiprocessing, socket and pickle: a serial
+        # sweep and the CLI's cold start do not pay for them
+        from concurrent.futures import ProcessPoolExecutor
     selected = sorted(set(names))
     for name in selected:
         get_identity(name)
-    started = time.time()
+    started = time.perf_counter()
     tasks = [(name, point)
              for name in selected
              for point in _iter_points(REGISTRY[name], grid)]
@@ -569,7 +579,7 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
         passed=counts["pass"],
         failed=counts["fail"],
         skipped=counts["skipped"],
-        runtime_seconds=time.time() - started,
+        runtime_seconds=time.perf_counter() - started,
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
 
@@ -583,9 +593,22 @@ def to_jsonl(report: Report) -> str:
 
     Record streams carry no timestamp, so equal sweeps serialize to equal
     bytes unconditionally.
+
+    Each line fills _JSONL_LINE once, and it equals
+    json.dumps(dict(zip(_COLUMNS, row)), separators=(",", ":")). Under its
+    default ensure_ascii=True, json.dumps escapes every str, keys included,
+    with encode_basestring_ascii, the function used here; it writes an int
+    as int.__repr__, which is what %s gives, and None as null; and the
+    separators are the template's. run_check and GridBounds admit only int
+    or None as point values, so no bool or float reaches a point column.
     """
-    return "".join(json.dumps(dict(zip(_COLUMNS, _row(r))), separators=(",", ":")) + "\n"
-                   for r in report.results)
+    quote = encode_basestring_ascii
+    return "".join(
+        _JSONL_LINE % (quote(identity), "null" if n is None else n,
+                       "null" if l is None else l, "null" if t is None else t,
+                       "null" if m is None else m, quote(lhs), quote(rhs),
+                       quote(status), quote(reason))
+        for identity, n, l, t, m, lhs, rhs, status, reason in map(_row, report.results))
 
 
 def to_csv(report: Report) -> str:

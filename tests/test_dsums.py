@@ -299,3 +299,22 @@ def test_closed_form_cross_checks_trip_when_direct_drifts(monkeypatch):
     result = run_check("dlevel1", n=3, l=2, t=1)
     assert result.status == "fail"
     assert result.reason.startswith("IntegrityError: closed level-1 form disagrees at n=3, j=1, l=2")
+
+
+@pytest.mark.parametrize("n, l, j", [(0, 0, 0), (3, 2, 1), (5, 1, 0), (6, 3, 4),
+                                     (7, 2, 7)])
+def test_dlevel1_record_shows_the_direct_value(n, l, j):
+    result = run_check("dlevel1", n=n, l=l, t=j)
+    assert result.status == "pass"
+    assert result.lhs == str(_oracle.d_direct(_oracle.F_psi, 2 * n, j, 1, l))
+
+
+def test_d_psi_level1_returns_the_direct_value(monkeypatch):
+    # the same int object d_sum_direct made, not the equal closed product
+    made = []
+    direct = dsums.d_sum_direct
+    monkeypatch.setattr(dsums, "d_sum_direct",
+                        lambda *args: made.append(direct(*args)) or made[-1])
+    value, _ = d_psi_level1(6, 1, 3)
+    assert abs(value) > 256  # beyond the small ints Python shares
+    assert value is made[-1]

@@ -1,11 +1,15 @@
 """Registry contents, point checks, sweeps, and report serialization."""
 
+import concurrent.futures
 import hashlib
+import json
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supercatalan import verifier
 from supercatalan.verifier import (
@@ -181,13 +185,48 @@ def test_sweep_caps_workers_at_cpus_and_tasks(monkeypatch, cpus, pool_sizes):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    # sweep imports the pool class from its module only when jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
     grid = GridBounds(n_max=3, l_max=2)
     pooled = sweep(["thm1", "eq18"], grid, jobs=10**6)
     assert to_jsonl(pooled) == to_jsonl(sweep(["thm1", "eq18"], grid, jobs=1))
     sweep(["thm1"], GridBounds(n_max=0, l_max=1), jobs=10**6)  # two tasks
     assert sizes == pool_sizes
+
+
+def test_sweep_bytes_are_the_same_under_every_start_method():
+    # a fresh interpreter, so the start method can be set before any pool;
+    # cpu_count is pinned to 2 so the pool runs on a one-CPU machine too
+    code = (
+        "import multiprocessing, os\n"
+        "from supercatalan.verifier import GridBounds, registry_ids, sweep, to_jsonl\n"
+        "os.cpu_count = lambda: 2\n"
+        "grid = GridBounds(n_max=6, l_max=3)\n"
+        "serial = to_jsonl(sweep(registry_ids(), grid, jobs=1))\n"
+        "for method in ('spawn', 'forkserver', 'fork'):\n"
+        "    if method in multiprocessing.get_all_start_methods():\n"
+        "        multiprocessing.set_start_method(method, force=True)\n"
+        "        pooled = to_jsonl(sweep(registry_ids(), grid, jobs=2))\n"
+        "        print(method, pooled == serial)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.endswith(" True") for line in lines), lines
+    if sys.platform.startswith("linux"):
+        assert lines == ["spawn True", "forkserver True", "fork True"]
+
+
+def test_cold_start_does_not_load_the_process_pool():
+    code = ("import sys\n"
+            "import supercatalan, supercatalan.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')\n"
+            "             if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -230,6 +269,29 @@ def test_default_grid_record_bytes_are_pinned(default_report):
     assert hashlib.sha256(csv_bytes).hexdigest() == DEFAULT_GRID_CSV_SHA256
 
 
+# every kind of text json.dumps escapes, plus the edge cases by name
+_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(["", '"', "\\", "\x00", "\x1f", "\x7f", "\u2028",
+                     "\u00e9", "\U0001F600", "\ud800", '\\"\n\t']),
+)
+_POINT = st.one_of(st.none(), st.integers(),
+                   st.integers(min_value=-2**200, max_value=2**200),
+                   st.sampled_from([2**64, -2**64 - 1, 0, -1]))
+_RESULT = st.builds(CheckResult, identity=_TEXT, n=_POINT, l=_POINT, t=_POINT,
+                    m=_POINT, lhs=_TEXT, rhs=_TEXT, status=_TEXT, reason=_TEXT)
+
+
+@given(st.lists(_RESULT, max_size=5))
+def test_jsonl_template_equals_json_dumps(results):
+    report = verifier.Report(tuple(results), (), GridBounds(), 0, 0, 0, 0.0, "")
+    reference = "".join(
+        json.dumps(dict(zip(verifier._COLUMNS, verifier._row(r))),
+                   separators=(",", ":")) + "\n"
+        for r in results)
+    assert to_jsonl(report) == reference
+
+
 def test_grid_bounds_validation_and_description():
     assert GridBounds().describe() == "n<=10, l<=6, t<=n, m<=5"
     assert GridBounds(n_max=3, l_max=2, t_max=1, m_max=4).describe() == \
@@ -246,6 +308,14 @@ def test_grid_bounds_reject_non_int(bounds):
     # a float used to fail later, as a TypeError from range inside the sweep
     with pytest.raises(TypeError, match="must be an int"):
         GridBounds(**bounds)
+
+
+@pytest.mark.parametrize("point", [{"n": True, "l": 1}, {"n": 2, "l": 1.0},
+                                   {"n": 2, "l": "1"}])
+def test_run_check_rejects_non_int_points(point):
+    # a record's point columns are ints or null, as to_jsonl assumes
+    with pytest.raises(TypeError, match="must be an int"):
+        run_check("thm1", **point)
 
 
 def test_register_rejects_duplicates_and_bad_relations():
