@@ -37,19 +37,27 @@ runs an inner sum, and q_sum, which no sweep reaches, take binomial() per
 term. Each loop writes its steps out inline: at the lengths the sweeps run,
 a generator per factor costs about as much as the binomial it replaces. The
 routes share no code beyond that, so the cross-checks between them stay
-independent. A witness row weights the row below once, w[k] =
-binomial(2n, k) below[k], and each of its entries is then a walk of
-binomial(2n-j, k-j) against w.
+independent.
+
+A witness row holds D(2n, j, level) / S(n, l) for j = 0..n. It weights a
+vector w once and each of its entries is then a walk of binomial(2n-j, k-j)
+against w. At level 1, w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), so
+one row takes n + 1 q_scaled values and holds every level-1 cofactor of its
+(n, l); above it, w[k] = binomial(2n, k) below[k].
+
+q_scaled and the witness rows are memoized (exactnum.memoized) while a memo
+scope is open: a sweep, a run_check, or psi_quotient_witness, which opens
+one for its lift when none is open. d_sum_direct is not: a sweep rarely
+asks for one of its values twice, so a table would only hold memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
-from .exactnum import IntegrityError, binomial, central_binomial
+from .exactnum import IntegrityError, binomial, central_binomial, memo_scope, memoized
 from .sums import psi
 from .supercat import super_catalan
 
@@ -186,7 +194,7 @@ def q_sum(n: int, s: int, l: int) -> Fraction:
                 for v in range(n - s + 1)), Fr(0))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def q_scaled(n: int, s: int, l: int) -> int:
     """binomial(2n, n) * q_sum(n, s, l), assembled without any division.
 
@@ -233,32 +241,22 @@ def d_psi_base_closed(n: int, j: int, l: int) -> tuple[int, Fraction]:
     return direct, cofactor
 
 
-@lru_cache(maxsize=None)
-def _level1_cofactor(n: int, j: int, l: int) -> int:
-    a, b = 1, binomial(n, j)  # binomial(2n-j, u), binomial(n, j+u)
-    total = 0
-    for u in range(n - j + 1):
-        x = a * b * q_scaled(n, j + u, l)
-        total += -x if u & 1 else x
-        a = a * (2 * n - j - u) // (u + 1)
-        b = b * (n - j - u) // (j + u + 1)
-    return total
-
-
 def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     """Closed level-1 evaluation D(2n, j, 1) = (-1)^j S(n, l) * cofactor.
 
     The cofactor sum_u (-1)^u binomial(2n-j, u) binomial(n, j+u)
     q_scaled(n, j+u, l) is an integer built without dividing, so it is a
-    constructive witness that S(n, l) divides the level-1 layer. The
-    reconstructed value is cross-checked against the direct evaluation on
-    every call, and the direct value is what comes back, as in
-    d_psi_base_closed.
+    constructive witness that S(n, l) divides the level-1 layer; it is read
+    from the level-1 witness row of (n, l), which holds it with the sign
+    (-1)^j. The reconstructed value is cross-checked against the direct
+    evaluation on every call, and the direct value is what comes back, as
+    in d_psi_base_closed.
     """
     if n < 0 or l < 0 or not 0 <= j <= n:
         raise ValueError(f"requires n, l >= 0 and 0 <= j <= n, got n={n}, j={j}, l={l}")
-    cofactor = _level1_cofactor(n, j, l)
-    value = (-1) ** j * super_catalan(n, l) * cofactor
+    signed = _witness_row(n, l, 1)[j]
+    cofactor = -signed if j & 1 else signed
+    value = super_catalan(n, l) * signed
     direct = d_sum_direct(psi_summand, 2 * n, j, 1, l)
     if value != direct:
         raise IntegrityError(
@@ -267,17 +265,21 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     return direct, cofactor
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _witness_row(n: int, l: int, level: int) -> tuple[int, ...]:
-    # Quotients D(2n, j, level) / S(n, l) for j = 0..n, built by pushing the
-    # level-1 cofactors up through the level recurrence. Signs ride along.
+    # Quotients D(2n, j, level) / S(n, l) for j = 0..n: the level-1 cofactors,
+    # signs included, pushed up through the level recurrence.
+    w, b = [], 1  # b = binomial(n, k) at level 1, binomial(2n, k) above
     if level == 1:
-        return tuple((-1) ** j * _level1_cofactor(n, j, l) for j in range(n + 1))
-    # entry j is sum_{k=j}^{n} binomial(2n-j, k-j) w[k], w[k] = binomial(2n, k) below[k]
-    w, c = [], 1
-    for k, x in enumerate(_witness_row(n, l, level - 1)):
-        w.append(c * x)
-        c = c * (2 * n - k) // (k + 1)
+        for k in range(n + 1):
+            x = b * q_scaled(n, k, l)
+            w.append(-x if k & 1 else x)
+            b = b * (n - k) // (k + 1)
+    else:
+        for k, x in enumerate(_witness_row(n, l, level - 1)):
+            w.append(b * x)
+            b = b * (2 * n - k) // (k + 1)
+    # entry j is sum_{k=j}^{n} binomial(2n-j, k-j) w[k]
     row = []
     for j in range(n + 1):
         c, total = 1, 0
@@ -303,10 +305,12 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
         return super_catalan(n + l, n)
     if m == 2:
         return q_scaled(n, 0, l)
-    # lift one level at a time, so each row finds the one below it cached
-    for level in range(1, m - 2):
-        _witness_row(n, l, level)
-    return _witness_row(n, l, m - 2)[0]
+    # lift one level at a time, so each row finds the one below it memoized;
+    # the rows go when the outermost scope closes
+    with memo_scope:
+        for level in range(1, m - 2):
+            _witness_row(n, l, level)
+        return _witness_row(n, l, m - 2)[0]
 
 
 @dataclass(frozen=True)

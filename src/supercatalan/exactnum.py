@@ -5,11 +5,21 @@ ints (arbitrary precision), rationals are fractions.Fraction (always in
 lowest terms, denominator positive, integer-valued fractions compare equal
 to ints). There is no floating point anywhere, and every division that a
 formula promises to be exact is checked at runtime.
+
+The module also holds the package's memo. A function decorated with
+memoized keeps one dict, keyed by its positional argument tuple, and uses
+it only while a memo_scope is open; outside one, and for keyword calls, it
+just calls the function. Scopes nest, and the outermost exit empties every
+table, so a sweep shares each sum between the identities that use it and
+leaves nothing behind. Each function has its own table, so two routes to
+one value never share an entry.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from functools import wraps
 
 __all__ = [
     "IntegrityError",
@@ -59,3 +69,46 @@ def binomial(n: int, k: int) -> int:
 def central_binomial(n: int) -> int:
     """binomial(2n, n)."""
     return binomial(2 * n, n)
+
+
+_tables: list[dict] = []  # one per memoized function
+_depth = 0  # how many memo scopes are open
+_depth_lock = threading.Lock()
+
+
+def memoized(fn):
+    """Memoize fn on its positional arguments while a memo scope is open."""
+    table: dict = {}
+    _tables.append(table)
+
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        if kwargs or not _depth:
+            return fn(*args, **kwargs)
+        try:
+            return table[args]
+        except KeyError:
+            value = table[args] = fn(*args)
+            return value
+
+    return wrapper
+
+
+class _MemoScope:
+    """Re-entrant context: memoized functions remember until the outermost exit."""
+
+    def __enter__(self) -> None:
+        global _depth
+        with _depth_lock:
+            _depth += 1
+
+    def __exit__(self, *exc) -> None:
+        global _depth
+        with _depth_lock:
+            _depth -= 1
+            if not _depth:
+                for table in _tables:
+                    table.clear()
+
+
+memo_scope = _MemoScope()

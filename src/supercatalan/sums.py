@@ -23,6 +23,11 @@ weight(k). A rational one also divides by den(k): with L the lcm of all
 den(k) over the window, the walk carries the integer term(k) L/den(k) (its
 step ratio gains the factor den(k)/den(k+1)), adds the weighted numerators
 and builds one Fraction over L at the end.
+
+Each of the seven is memoized (exactnum.memoized): inside a sweep or a
+run_check, identities that evaluate the same sum at the same arguments
+share one evaluation, and the memo is emptied when the sweep ends. A call
+made outside such a scope computes its sum afresh and keeps nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .exactnum import exact_div
+from .exactnum import exact_div, memoized
 from .supercat import super_catalan
 
 __all__ = ["psi", "psi_t", "p_sum", "r_sum", "r_prime_sum", "r_dprime_sum",
@@ -66,6 +71,7 @@ def _windowed(n: int, t: int, l: int, weight=None, den=None, m: int = 1):
     return total if den is None else Fraction(total, common)
 
 
+@memoized
 def psi(n: int, m: int, l: int) -> int:
     """Alternating convolution with the binomial weight raised to the m-th power."""
     if n < 0:
@@ -75,33 +81,39 @@ def psi(n: int, m: int, l: int) -> int:
     return _windowed(n, 0, l, m=m)
 
 
+@memoized
 def psi_t(n: int, t: int, l: int) -> int:
     """Window-t truncation of the alternating convolution."""
     return _windowed(n, t, l)
 
 
+@memoized
 def p_sum(n: int, t: int, l: int) -> int:
     """psi_t with the extra linear weight (n - t - k)."""
     return _windowed(n, t, l, lambda k: n - t - k)
 
 
+@memoized
 def r_sum(n: int, t: int, l: int) -> Fraction:
     """psi_t with the weight (2l+1)/(k+l+1). Exact rational."""
     return _windowed(n, t, l, lambda k: 2 * l + 1, lambda k: k + l + 1)
 
 
+@memoized
 def r_prime_sum(n: int, t: int, l: int) -> Fraction:
     """psi_t with the symmetric weight (2l+1)/((k+l+1)(n-k+l+1))."""
     return _windowed(n, t, l, lambda k: 2 * l + 1,
                      lambda k: (k + l + 1) * (n - k + l + 1))
 
 
+@memoized
 def r_dprime_sum(n: int, t: int, l: int) -> Fraction:
     """r_prime_sum with the extra weight (n - k) on each term."""
     return _windowed(n, t, l, lambda k: (2 * l + 1) * (n - k),
                      lambda k: (k + l + 1) * (n - k + l + 1))
 
 
+@memoized
 def t_sum(n: int, t: int, l: int) -> Fraction:
     """psi_t with the combined weight (n-t-k)(2l+1)/(k+l+1)."""
     return _windowed(n, t, l, lambda k: (n - t - k) * (2 * l + 1),

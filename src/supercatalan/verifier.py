@@ -8,6 +8,11 @@ grid, optionally in parallel, and always merges results into the same
 deterministic order: two invocations with the same arguments serialize to
 byte-identical reports regardless of the worker count.
 
+Identities share their sums through the package memo (exactnum.memoized):
+sweep and run_check open a memo scope around their evaluations, and the
+memo is emptied when they return. Its keys are the function and its
+arguments, so the routes a check compares never share a value.
+
 A check never aborts a sweep. Failures and integrity errors are recorded
 as results; points outside an identity's domain are skipped with a
 machine-readable reason (which only happens through run_check, since the
@@ -32,7 +37,7 @@ from operator import attrgetter
 from typing import Callable, Iterator
 
 from . import dsums, sums, supercat
-from .exactnum import binomial, central_binomial, exact_div
+from .exactnum import binomial, central_binomial, exact_div, memo_scope
 
 __all__ = [
     "CheckResult",
@@ -503,7 +508,8 @@ def run_check(name: str, *, n: int | None = None, l: int | None = None,
     if not spec.domain(*point):
         return CheckResult(spec.name, *point, "", "", "skipped",
                            f"point outside domain of {spec.name}")
-    return _evaluate(spec, point)
+    with memo_scope:
+        return _evaluate(spec, point)
 
 
 def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[Point]:
@@ -526,6 +532,11 @@ def _eval_task(task: tuple[str, Point]) -> CheckResult:
     return _evaluate(REGISTRY[name], point)
 
 
+def _open_worker_scope() -> None:
+    # a pool worker memoizes for its whole life; its tables go with it
+    memo_scope.__enter__()
+
+
 @dataclass(frozen=True)
 class Report:
     """A completed sweep: ordered results plus summary bookkeeping."""
@@ -546,6 +557,10 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     The task list is enumerated in sorted identity order with lexicographic
     points, and both the serial loop and the pool's map return results in
     task order, so the report content does not depend on jobs.
+
+    The serial loop runs in one memo scope, and each pool worker holds one
+    for its life, so identities that share a sum evaluate it once per
+    process. The memo is empty again when sweep returns.
     """
     if grid is None:
         grid = GridBounds()
@@ -564,9 +579,11 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
              for point in _iter_points(REGISTRY[name], grid)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_eval_task(task) for task in tasks]
+        with memo_scope:
+            results = [_eval_task(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_open_worker_scope) as pool:
             chunk = max(1, len(tasks) // (8 * workers))
             results = list(pool.map(_eval_task, tasks, chunksize=chunk))
     counts = {"pass": 0, "fail": 0, "skipped": 0}

@@ -26,7 +26,7 @@ from supercatalan.dsums import (
     q_sum,
     unit_summand,
 )
-from supercatalan.exactnum import IntegrityError, central_binomial
+from supercatalan.exactnum import IntegrityError, central_binomial, memo_scope
 from supercatalan.sums import psi, psi_t
 from supercatalan.supercat import super_catalan
 from supercatalan.verifier import run_check
@@ -278,15 +278,20 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
             call()
             assert sum(calls.values()) <= most, dict(calls)
     n, l = 40, 2
-    q_scaled.cache_clear()
-    calls.clear()
-    q_scaled(n, 7, l)
-    assert sum(calls.values()) <= 1
-    dsums._witness_row.cache_clear()
-    dsums._witness_row(n, l, 1)
-    calls.clear()
-    dsums._witness_row(n, l, 2)  # one lift, the row below cached
-    assert sum(calls.values()) <= n + 1
+    with memo_scope:  # a fresh scope: nothing is memoized yet
+        calls.clear()
+        q_scaled(n, 7, l)
+        assert sum(calls.values()) <= 1
+    monkeypatch.setattr(dsums, "q_scaled", counting("q_scaled", dsums.q_scaled))
+    with memo_scope:
+        calls.clear()
+        dsums._witness_row(n, l, 1)  # a fresh row: one pass over q_scaled
+        assert calls["q_scaled"] <= n + 1
+        # one binomial per fresh q_scaled, none for the row itself
+        assert sum(calls.values()) - calls["q_scaled"] <= calls["q_scaled"]
+        calls.clear()
+        dsums._witness_row(n, l, 2)  # one lift, the row below memoized
+        assert sum(calls.values()) <= n + 1
 
 
 def test_closed_form_cross_checks_trip_when_direct_drifts(monkeypatch):

@@ -1,17 +1,22 @@
 """Arithmetic primitives: conventions, exactness, and algebraic laws."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from supercatalan import exactnum
 from supercatalan.exactnum import (
     InexactDivisionError,
     binomial,
     central_binomial,
     exact_div,
     factorial,
+    memo_scope,
+    memoized,
 )
 
 import _oracle
@@ -109,3 +114,62 @@ def test_rational_round_trip(a, b, c, d):
     x, y = Fraction(a, b), Fraction(c, d)
     assert (x + y) - y == x
     assert x * y == y * x
+
+
+def test_memo_holds_only_inside_a_scope_and_keys_by_function():
+    calls = []
+
+    @memoized
+    def double(x):
+        calls.append(("double", x))
+        return 2 * x
+
+    @memoized
+    def triple(x):
+        calls.append(("triple", x))
+        return 3 * x
+
+    assert double(5) == double(5) == 10  # no scope: every call computes
+    assert len(calls) == 2
+    calls.clear()
+    with memo_scope:
+        assert double(5) == 10
+        with memo_scope:
+            assert double(5) == 10 and triple(5) == 15  # same arguments, own table
+            assert double(x=5) == 10  # a keyword call computes
+        assert double(5) == 10  # the inner exit kept the tables
+    assert calls == [("double", 5), ("triple", 5), ("double", 5)]
+    calls.clear()
+    with memo_scope:
+        assert double(5) == 10  # the outer exit emptied them
+    assert calls == [("double", 5)]
+
+
+def test_memo_scopes_from_many_threads_close_cleanly():
+    # more threads than cores open and close scopes with a short switch
+    # interval; a lost update of the scope count would leave it nonzero or
+    # empty the tables under a thread still inside its scope
+    square = memoized(lambda x: x * x)
+    wrong = []
+
+    def work(seed):
+        for i in range(300):
+            with memo_scope:
+                for x in range(seed, seed + 5):
+                    if square(x) != x * x:
+                        wrong.append(x)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert exactnum._depth == 0
+    assert not any(exactnum._tables)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercatalan import verifier
+from supercatalan import exactnum, sums, verifier
+from supercatalan.exactnum import memo_scope, memoized
 from supercatalan.verifier import (
     REGISTRY,
     CheckResult,
@@ -172,14 +173,21 @@ def test_sweep_caps_workers_at_cpus_and_tasks(monkeypatch, cpus, pool_sizes):
     sizes = []
 
     class SerialPool:
-        # stands in for ProcessPoolExecutor: records its size, maps in process
-        def __init__(self, max_workers):
+        # stands in for ProcessPoolExecutor: records its size, runs the
+        # worker initializer and maps in process
+        def __init__(self, max_workers, initializer=None):
+            assert initializer is not None
             sizes.append(max_workers)
+            self.initializer = initializer
 
         def __enter__(self):
+            # the initializer opens a scope for the worker's life; here the
+            # worker is this process, so the scope closes with the pool
+            self.initializer()
             return self
 
         def __exit__(self, *exc):
+            memo_scope.__exit__(*exc)
             return False
 
         def map(self, fn, iterable, chunksize=1):
@@ -386,6 +394,63 @@ def test_run_check_deep_witness_does_not_raise():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "pass \n"
+
+
+def test_memo_is_empty_after_every_scope_closes():
+    # a fresh interpreter, so every table starts empty and the cold m=3000
+    # lift is really cold; each step must leave every table empty again
+    code = (
+        "import os\n"
+        "from supercatalan import exactnum\n"
+        "from supercatalan.dsums import psi_quotient_witness\n"
+        "from supercatalan.verifier import GridBounds, registry_ids, run_check, sweep\n"
+        "os.cpu_count = lambda: 2\n"
+        "def empty():\n"
+        "    return exactnum._depth == 0 and not any(exactnum._tables)\n"
+        "print(psi_quotient_witness(3, 3000, 1) % 2, empty())\n"
+        "r = run_check('thm3', n=3, l=1, m=3000)\n"
+        "print(r.status, r.reason, empty())\n"
+        "grid = GridBounds(n_max=5, l_max=2)\n"
+        "for jobs in (1, 2):\n"
+        "    print(sweep(registry_ids(), grid, jobs=jobs).failed, empty())\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 True", "pass  True", "0 True", "0 True"]
+
+
+def test_run_check_evaluates_inside_a_memo_scope(monkeypatch):
+    depths = []
+    psi_t = sums.psi_t
+    monkeypatch.setattr(sums, "psi_t",
+                        lambda *args: depths.append(exactnum._depth) or psi_t(*args))
+    assert run_check("eq18", n=4, l=2, t=1).status == "pass"
+    assert depths == [1]
+    assert exactnum._depth == 0 and not any(exactnum._tables)
+
+
+def test_drift_beneath_a_memoized_route_fails_its_rows(monkeypatch):
+    # r_sum drifts beneath its own memo; the sweep's memo is on throughout,
+    # and psi_t, p_sum and r_prime_sum share r_sum's arguments
+    original = sums.r_sum
+    depths = set()
+
+    def drifted(n, t, l):
+        depths.add(exactnum._depth)
+        return original(n, t, l) + 1
+
+    monkeypatch.setattr(sums, "r_sum", memoized(drifted))
+    grid = GridBounds(n_max=5, l_max=3)
+    users = {"lemma3", "eq29"}
+    report = sweep(["eq18", "eq28", "eq29", "eq58", "lemma1", "lemma3"], grid)
+    assert depths == {1}
+    by_status = Counter((r.identity in users, r.status) for r in report.results)
+    assert by_status[(True, "pass")] == 0
+    assert by_status[(True, "fail")] > 0
+    assert by_status[(False, "fail")] == 0
+    assert by_status[(False, "pass")] > 0
+    monkeypatch.setattr(sums, "r_sum", original)
+    assert sweep(sorted(users), grid).failed == 0
 
 
 def test_human_report_shape():
