@@ -24,37 +24,50 @@ quotient psi(2n, m, l) / S(n, l) that never performs the division; that is
 what psi_quotient_witness returns and what psi_divisibility_check is
 validated against.
 
-No inner sum takes a binomial per term. Each binomial factor is taken once,
-for the first term, and walks from there by its exact ratio: one
-small-integer product and one quotient a term, exact by the identity it
-steps, e.g.
+d_sum_direct and the witness rows read rows: _pascal(N) holds binomial(N, k)
+for k = 0..N and _summands(f, n, l) holds f(n, k, l) for k = 0..n. Each of
+their sums is one sum(map(mul, ...)) over slices of those rows, so its loop
+runs in C, and the direct sums of one (n, l) evaluate f only n + 1 times,
+whatever j and t they take.
+
+No other inner sum takes a binomial per term either. a_t, the inner sum of
+_base_expanded and q_scaled take each binomial factor once, for the first
+term, and walk from there by its exact ratio: one small-integer product and
+one quotient a term, exact by the identity it steps, e.g.
 
     binomial(N, k+1)    = binomial(N, k) (N-k) / (k+1)
     binomial(2w+2, w+1) = binomial(2w, w) 2(2w+1) / (w+1)
 
-The outer loops of d_sum_step and the base regroupings, each of whose terms
-runs an inner sum, and q_sum, which no sweep reaches, take binomial() per
-term. Each loop writes its steps out inline: at the lengths the sweeps run,
-a generator per factor costs about as much as the binomial it replaces. The
-routes share no code beyond that, so the cross-checks between them stay
-independent.
+a_t and the base regroupings call f directly, so eq17 plays the summand row
+against direct calls. The outer loops of d_sum_step and the base
+regroupings, each of whose terms runs an inner sum, and q_sum, which no
+sweep reaches, take binomial() per term. Each walk writes its steps out
+inline: at the lengths the sweeps run, a generator per factor costs about
+as much as the binomial it replaces. The routes share no code beyond the
+rows, so the cross-checks between them stay independent.
 
 A witness row holds D(2n, j, level) / S(n, l) for j = 0..n. It weights a
-vector w once and each of its entries is then a walk of binomial(2n-j, k-j)
-against w. At level 1, w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), so
-one row takes n + 1 q_scaled values and holds every level-1 cofactor of its
-(n, l); above it, w[k] = binomial(2n, k) below[k].
+vector w once, and its entry j is sum_k binomial(2n-j, k-j) w[k], one dot
+product of a Pascal row with a slice of w. At level 1,
+w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), so one row takes n + 1
+q_scaled values and holds every level-1 cofactor of its (n, l); above it,
+w[k] = binomial(2n, k) below[k].
 
-q_scaled and the witness rows are memoized (exactnum.memoized) while a memo
-scope is open: a sweep, a run_check, or psi_quotient_witness, which opens
-one for its lift when none is open. d_sum_direct is not: a sweep rarely
-asks for one of its values twice, so a table would only hold memory.
+The Pascal and summand rows, q_scaled and the witness rows are memoized
+(exactnum.memoized) while a memo scope is open: a sweep, a run_check,
+psi_quotient_witness, which opens one for its lift, or d_sum_step, which
+opens one so that its inner direct sums share their rows. The D values
+themselves are not: a sweep rarely asks for one twice, so a table of them
+would only hold memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import comb
+from operator import mul
 from typing import Callable
 
 from .exactnum import IntegrityError, binomial, central_binomial, memo_scope, memoized
@@ -80,8 +93,21 @@ __all__ = [
 ]
 
 # A summand maps (n, k, l) to an integer and must be pure: the engine may
-# re-evaluate it freely and memoizes nothing on its behalf.
+# re-evaluate it freely, and inside a memo scope it keeps the row
+# f(n, k, l), k = 0..n, keyed by f itself.
 Summand = Callable[[int, int, int], int]
+
+
+@memoized
+def _pascal(N: int) -> tuple[int, ...]:
+    """binomial(N, k) for k = 0..N."""
+    return tuple(map(comb, repeat(N), range(N + 1)))
+
+
+@memoized
+def _summands(f: Summand, n: int, l: int) -> tuple[int, ...]:
+    """f(n, k, l) for k = 0..n."""
+    return tuple(map(f, repeat(n), range(n + 1), repeat(l)))
 
 
 def psi_summand(n: int, k: int, l: int) -> int:
@@ -107,15 +133,14 @@ def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j)
     if t < 0:
         raise ValueError(f"level must be non-negative, got {t}")
-    # a, b, c = binomial(n-j, u), binomial(n-j, k), binomial(n, k) at k = j+u
-    a, b, c = 1, binomial(n - j, j), binomial(n, j)
-    total = 0
-    for u, k in enumerate(range(j, n - j + 1)):
-        total += a * b * c ** t * f(n, k, l)
-        a = a * (n - j - u) // (u + 1)
-        b = b * (n - j - k) // (k + 1)
-        c = c * (n - k) // (k + 1)
-    return total
+    # k = j+u runs over the window [j, n-j]; binomial(n-j, u),
+    # binomial(n-j, k), f(n, k, l) and binomial(n, k)^t are slices of rows
+    inner, window = _pascal(n - j), slice(j, n - j + 1)
+    terms = map(mul, map(mul, inner, inner[window]), _summands(f, n, l)[window])
+    if t:
+        c = _pascal(n)[window]
+        terms = map(mul, terms, c if t == 1 else map(pow, c, repeat(t)))
+    return sum(terms)
 
 
 def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
@@ -127,9 +152,10 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j)
     if t < 1:
         raise ValueError(f"level recurrence needs t >= 1, got {t}")
-    return sum(binomial(n, j + u) * binomial(n - j, u)
-               * d_sum_direct(f, n, j + u, t - 1, l)
-               for u in range((n - 2 * j) // 2 + 1))
+    with memo_scope:  # the inner sums share their rows even outside a sweep
+        return sum(binomial(n, j + u) * binomial(n - j, u)
+                   * d_sum_direct(f, n, j + u, t - 1, l)
+                   for u in range((n - 2 * j) // 2 + 1))
 
 
 def a_t(f: Summand, n: int, t: int, l: int) -> int:
@@ -269,25 +295,12 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
 def _witness_row(n: int, l: int, level: int) -> tuple[int, ...]:
     # Quotients D(2n, j, level) / S(n, l) for j = 0..n: the level-1 cofactors,
     # signs included, pushed up through the level recurrence.
-    w, b = [], 1  # b = binomial(n, k) at level 1, binomial(2n, k) above
     if level == 1:
-        for k in range(n + 1):
-            x = b * q_scaled(n, k, l)
-            w.append(-x if k & 1 else x)
-            b = b * (n - k) // (k + 1)
+        w = [(-b if k & 1 else b) * q_scaled(n, k, l) for k, b in enumerate(_pascal(n))]
     else:
-        for k, x in enumerate(_witness_row(n, l, level - 1)):
-            w.append(b * x)
-            b = b * (2 * n - k) // (k + 1)
+        w = list(map(mul, _pascal(2 * n), _witness_row(n, l, level - 1)))
     # entry j is sum_{k=j}^{n} binomial(2n-j, k-j) w[k]
-    row = []
-    for j in range(n + 1):
-        c, total = 1, 0
-        for i in range(n - j + 1):
-            total += c * w[j + i]
-            c = c * (2 * n - j - i) // (i + 1)
-        row.append(total)
-    return tuple(row)
+    return tuple(sum(map(mul, _pascal(2 * n - j), w[j:])) for j in range(n + 1))
 
 
 def psi_quotient_witness(n: int, m: int, l: int) -> int:

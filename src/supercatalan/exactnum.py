@@ -13,12 +13,19 @@ just calls the function. Scopes nest, and the outermost exit empties every
 table, so a sweep shares each sum between the identities that use it and
 leaves nothing behind. Each function has its own table, so two routes to
 one value never share an entry.
+
+Each memoized function has a cache_info() with functools' field names.
+hits and misses count the lookups made inside a scope, over the life of
+the process; maxsize is None; currsize is the live table's size, so it
+reads 0 once the outermost scope has closed. The counts take no lock:
+threads that share a scope may lose a few, never a table entry.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from functools import wraps
 
 __all__ = [
@@ -75,22 +82,30 @@ _tables: list[dict] = []  # one per memoized function
 _depth = 0  # how many memo scopes are open
 _depth_lock = threading.Lock()
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
 
 def memoized(fn):
     """Memoize fn on its positional arguments while a memo scope is open."""
     table: dict = {}
     _tables.append(table)
+    hits = misses = 0
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
+        nonlocal hits, misses
         if kwargs or not _depth:
             return fn(*args, **kwargs)
         try:
-            return table[args]
+            value = table[args]
         except KeyError:
+            misses += 1
             value = table[args] = fn(*args)
             return value
+        hits += 1
+        return value
 
+    wrapper.cache_info = lambda: _CacheInfo(hits, misses, None, len(table))
     return wrapper
 
 

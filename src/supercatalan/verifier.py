@@ -37,7 +37,7 @@ from operator import attrgetter
 from typing import Callable, Iterator
 
 from . import dsums, sums, supercat
-from .exactnum import binomial, central_binomial, exact_div, memo_scope
+from .exactnum import IntegrityError, binomial, central_binomial, exact_div, memo_scope
 
 __all__ = [
     "CheckResult",
@@ -135,7 +135,13 @@ class IdentitySpec:
 
 
 def _check_vonszily(n, l, t, m):
-    return supercat.super_catalan_von_szily(n, l), supercat.super_catalan(n, l)
+    # the factorial route must agree with the ratio route the record shows
+    ratio = supercat.super_catalan(n, l)
+    factorial = supercat.super_catalan_factorial(n, l)
+    if factorial != ratio:
+        raise IntegrityError(f"factorial route disagrees at n={n}, l={l}: "
+                             f"{factorial} vs ratio {ratio}")
+    return supercat.super_catalan_von_szily(n, l), ratio
 
 
 def _check_symmetry(n, l, t, m):

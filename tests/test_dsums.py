@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import Counter
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -253,6 +254,37 @@ def test_dsums_layer_matches_oracle_at_length_120(memo_oracle):
     _witness_agrees_with_oracle(60, 5, 3)
 
 
+def skew_summand(n, k, l):
+    # not symmetric under k -> n-k, unlike psi_summand and unit_summand, so
+    # a row slice shifted off its window changes the sum (a reversed one
+    # cannot: the weights of D are themselves symmetric under k -> n-k)
+    return (k + 1) ** 2 - 3 * l * k + n
+
+
+@pytest.mark.parametrize("scope", [nullcontext, lambda: memo_scope], ids=["bare", "scoped"])
+def test_direct_sum_reads_its_window_of_each_row(scope):
+    with scope():
+        for n in range(31):
+            for j in range(n // 2 + 1):
+                for t in range(4):
+                    for l in (0, 2):
+                        assert d_sum_direct(skew_summand, n, j, t, l) == \
+                            _oracle.d_direct(skew_summand, n, j, t, l)
+
+
+@pytest.mark.parametrize("scope", [nullcontext, lambda: memo_scope], ids=["bare", "scoped"])
+def test_witness_row_entries_are_the_oracle_quotients(memo_oracle, scope):
+    n, l, level = 60, 3, 2
+    with scope():
+        row = dsums._witness_row(n, l, level)
+    assert len(row) == n + 1
+    for j, entry in enumerate(row):
+        quotient, remainder = divmod(_oracle.d_direct(_oracle.F_psi, 2 * n, j, level, l),
+                                     _oracle.S(n, l))
+        assert remainder == 0
+        assert entry == quotient
+
+
 def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
     # a binomial factor is taken once at the start of its walk; the terms
     # follow by exact ratios. The outer sums of d_sum_step and d_sum_base
@@ -292,6 +324,21 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
         calls.clear()
         dsums._witness_row(n, l, 2)  # one lift, the row below memoized
         assert sum(calls.values()) <= n + 1
+    # the direct sums of one (2n, l), every j: one summand row, and one
+    # Pascal row per distinct upper index 2n - j or 2n
+    summand = counting("summand", psi_summand)
+    with memo_scope:
+        calls.clear()
+        misses = dsums._pascal.cache_info().misses
+        for j in range(n + 1):
+            d_sum_direct(summand, 2 * n, j, 1, l)
+        assert calls["summand"] <= 2 * n + 1
+        assert dsums._pascal.cache_info().misses - misses == n + 1
+    # d_sum_step opens a scope of its own, so even outside a sweep its
+    # inner direct sums share one summand row
+    calls.clear()
+    d_sum_step(summand, 2 * n, 0, 2, l)
+    assert calls["summand"] <= 2 * n + 1
 
 
 def test_closed_form_cross_checks_trip_when_direct_drifts(monkeypatch):

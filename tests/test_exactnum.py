@@ -3,6 +3,7 @@
 import sys
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -143,6 +144,23 @@ def test_memo_holds_only_inside_a_scope_and_keys_by_function():
     with memo_scope:
         assert double(5) == 10  # the outer exit emptied them
     assert calls == [("double", 5)]
+
+
+def test_memo_counts_lookups_inside_scopes_like_lru_cache():
+    double = memoized(lambda x: 2 * x)
+    assert double.cache_info()._fields == lru_cache(None)(abs).cache_info()._fields
+    double(1)  # outside a scope: computed, not counted
+    assert double.cache_info() == (0, 0, None, 0)
+    with memo_scope:
+        double(1), double(1), double(2), double(x=1)
+        with memo_scope:
+            double(2)
+        assert double.cache_info() == (2, 2, None, 2)
+    # the counts last for the process, the table only for the scope
+    assert double.cache_info() == (2, 2, None, 0)
+    with memo_scope:
+        double(1)
+        assert double.cache_info() == (2, 3, None, 1)
 
 
 def test_memo_scopes_from_many_threads_close_cleanly():

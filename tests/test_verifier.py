@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercatalan import exactnum, sums, verifier
+from supercatalan import exactnum, sums, supercat, verifier
 from supercatalan.exactnum import memo_scope, memoized
 from supercatalan.verifier import (
     REGISTRY,
@@ -451,6 +451,20 @@ def test_drift_beneath_a_memoized_route_fails_its_rows(monkeypatch):
     assert by_status[(False, "pass")] > 0
     monkeypatch.setattr(sums, "r_sum", original)
     assert sweep(sorted(users), grid).failed == 0
+
+
+def test_vonszily_rows_fail_when_the_factorial_route_drifts(monkeypatch):
+    factorial = supercat.super_catalan_factorial
+    monkeypatch.setattr(supercat, "super_catalan_factorial",
+                        lambda n, l: factorial(n, l) + 1)
+    result = run_check("vonszily", n=3, l=2)
+    assert result.status == "fail"
+    assert result.reason == ("IntegrityError: factorial route disagrees at n=3, l=2: "
+                             "13 vs ratio 12")
+    report = sweep(["vonszily"], GridBounds(n_max=4, l_max=3))
+    assert {r.status for r in report.results} == {"fail"}
+    monkeypatch.setattr(supercat, "super_catalan_factorial", factorial)
+    assert sweep(["vonszily"], GridBounds(n_max=4, l_max=3)).failed == 0
 
 
 def test_human_report_shape():
