@@ -2,11 +2,14 @@
 
 Every identity, recurrence and divisibility fact the library exposes is
 registered here as a point-indexed check over a subset of the parameters
-(n, l, t, m). sweep() evaluates a selection of identities over a bounded
-grid, exhaustively on the intersection of each identity's domain with the
-grid, optionally in parallel, and always merges results into the same
-deterministic order: two invocations with the same arguments serialize to
-byte-identical reports regardless of the worker count.
+(n, l, t, m). Each is declared once, by the _identity decorator on its
+_check_<name> function, which registers it as <name> with its params,
+description, domain and relation; identities added at runtime go through
+register(IdentitySpec(...)). sweep() evaluates a selection of identities
+over a bounded grid, exhaustively on the intersection of each identity's
+domain with the grid, optionally in parallel, and always merges results
+into the same deterministic order: two invocations with the same arguments
+serialize to byte-identical reports regardless of the worker count.
 
 Identities share their sums through the package memo (exactnum.memoized):
 sweep and run_check open a memo scope around their evaluations, and the
@@ -18,10 +21,10 @@ as results; points outside an identity's domain are skipped with a
 machine-readable reason (which only happens through run_check, since the
 sweep enumerates domains exactly).
 
-Parameter columns are fixed to (n, l, t, m). Identities over the level
-engine reuse the t column for their window offset j; their descriptions
-say so. The field order of CheckResult is the column order of every record
-stream.
+Parameter columns are fixed to (n, l, t, m), and register rejects any
+other param name. Identities over the level engine reuse the t column for
+a window offset j or a level; their descriptions say which. The field
+order of CheckResult is the column order of every record stream.
 """
 
 from __future__ import annotations
@@ -131,217 +134,6 @@ class IdentitySpec:
 
 
 # ---------------------------------------------------------------------------
-# checks
-
-
-def _check_vonszily(n, l, t, m):
-    # the factorial route must agree with the ratio route the record shows
-    ratio = supercat.super_catalan(n, l)
-    factorial = supercat.super_catalan_factorial(n, l)
-    if factorial != ratio:
-        raise IntegrityError(f"factorial route disagrees at n={n}, l={l}: "
-                             f"{factorial} vs ratio {ratio}")
-    return supercat.super_catalan_von_szily(n, l), ratio
-
-
-def _check_symmetry(n, l, t, m):
-    return supercat.super_catalan(n, l), supercat.super_catalan(l, n)
-
-
-def _check_parity(n, l, t, m):
-    return supercat.super_catalan(n, l) % 2, 1 if n == l == 0 else 0
-
-
-def _check_thm1(n, l, t, m):
-    rhs = supercat.super_catalan(n, l) * supercat.super_catalan(n + l, n)
-    return sums.psi(2 * n, 1, l), rhs
-
-
-def _check_eq2(n, l, t, m):
-    lhs = sum((-1) ** k * binomial(2 * n, k) * central_binomial(k)
-              * binomial(4 * n - 2 * k, 2 * n - k)
-              for k in range(2 * n + 1))
-    return lhs, central_binomial(n) ** 2
-
-
-def _check_eq3(n, l, t, m):
-    C = supercat.catalan
-    lhs = sum((-1) ** k * binomial(2 * n, k) * C(k) * C(2 * n - k)
-              for k in range(2 * n + 1))
-    return lhs, C(n) * central_binomial(n)
-
-
-def _check_thm2(n, l, t, m):
-    return dsums.a_t(dsums.psi_summand, 2 * n, t, l), supercat.phi(n, l, t)
-
-
-def _check_eq8(n, l, t, m):
-    num = central_binomial(n) * central_binomial(t) * binomial(2 * n - 2 * t, n - t)
-    rhs = (-1) ** t * exact_div(num, binomial(2 * n - t, t))
-    return sums.psi_t(2 * n, t, 0), rhs
-
-
-def _check_eq9(n, l, t, m):
-    C = supercat.catalan
-    lhs = sum((-1) ** k * binomial(2 * n - 2 * t, k - t) * C(k) * C(2 * n - k)
-              for k in range(t, 2 * n - t + 1))
-    num = C(n) * central_binomial(t) * binomial(2 * n - 2 * t, n - t)
-    return lhs, (-1) ** t * exact_div(num, binomial(2 * n + 1 - t, t))
-
-
-def _check_eq18(n, l, t, m):
-    return sums.psi_t(2 * n, t, l), supercat.phi(n, l, t)
-
-
-def _check_eq20(n, l, t, m):
-    return sums.psi_t(2 * n - 1, t, l), 0
-
-
-def _check_eq22(n, l, t, m):
-    s = supercat.super_catalan(n, l)
-    return sums.psi_t(2 * n, n, l), (-1) ** n * s * s
-
-
-def _check_eq28(n, l, t, m):
-    return sums.p_sum(2 * n, t, l), (n - t) * sums.psi_t(2 * n, t, l)
-
-
-def _check_eq29(n, l, t, m):
-    return (n + l + 1) * sums.r_prime_sum(2 * n, t, l), sums.r_sum(2 * n, t, l)
-
-
-def _check_eq33(n, l, t, m):
-    return l * central_binomial(l), 2 * (2 * l - 1) * central_binomial(l - 1)
-
-
-def _check_eq47(n, l, t, m):
-    rhs = (4 * (n - 2 * t) * sums.psi_t(n - 1, t, l)
-           + (-1) ** n * 2 * (n - 2 * t) * sums.r_sum(n - 1, t, l))
-    return sums.p_sum(n, t, l), rhs
-
-
-def _check_eq51(n, l, t, m):
-    rhs = (n + l + 1 - t) * sums.r_sum(n, t, l) - (2 * l + 1) * sums.psi_t(n, t, l)
-    return sums.t_sum(n, t, l), rhs
-
-
-def _check_eq53(n, l, t, m):
-    S = supercat.super_catalan
-    inner = sum((Fraction((-1) ** k * (2 * n - 2 * k - 1) * binomial(n - 1 - 2 * t, k - t)
-                          * S(k, l) * S(n - 1 - k, l), (k + l + 1) * (n - k + l))
-                 for k in range(t, n - t)), Fraction(0))
-    return sums.t_sum(n, t, l), 2 * (n - 2 * t) * (2 * l + 1) * inner
-
-
-def _check_eq58(n, l, t, m):
-    return sums.r_dprime_sum(2 * n, t, l), n * sums.r_prime_sum(2 * n, t, l)
-
-
-def _check_lemma1(n, l, t, m):
-    lhs = 2 * (2 * n - 1 - 2 * t) * (2 * n - 1) * sums.psi_t(2 * n - 2, t, l + 1)
-    rhs = (2 * n + l - t) * (2 * l + 1) * sums.psi_t(2 * n, t, l)
-    return lhs, rhs
-
-
-def _check_lemma2(n, l, t, m):
-    lhs = 4 * (2 * l + 1) * sums.r_sum(2 * n, t, l)
-    return lhs, (n + l + 1) * sums.psi_t(2 * n, t, l + 1)
-
-
-def _check_lemma3(n, l, t, m):
-    return sums.psi_t(2 * n, t, l), 4 * sums.r_sum(2 * n - 1, t, l)
-
-
-def _check_lemma4(n, l, t, m):
-    lhs = (2 * n + l - t) * (n + l) * sums.r_sum(2 * n - 1, t, l)
-    rhs = 2 * (2 * n - 1 - 2 * t) * (2 * n - 1) * sums.r_sum(2 * n - 2, t, l)
-    return lhs, rhs
-
-
-def _check_eq64phi(n, l, t, m):
-    lhs = 2 * (2 * n + 1 - 2 * t) * (2 * n + 1) * supercat.phi(n, l + 1, t)
-    rhs = (2 * n + 2 + l - t) * (2 * l + 1) * supercat.phi(n + 1, l, t)
-    return lhs, rhs
-
-
-def _check_eq12(n, l, t, m):
-    return sums.psi(n, m, l), dsums.d_sum_direct(dsums.psi_summand, n, 0, m - 2, l)
-
-
-def _check_eq13(n, l, t, m):
-    # t here is the level; the window offset j is quantified internally for
-    # both summands. Records the psi-summand j=0 pair when everything
-    # matches, the first mismatching pair otherwise.
-    recorded = None
-    for f in (dsums.psi_summand, dsums.unit_summand):
-        for j in range(n // 2 + 1):
-            lhs = dsums.d_sum_step(f, n, j, t, l)
-            rhs = dsums.d_sum_direct(f, n, j, t, l)
-            if lhs != rhs:
-                return lhs, rhs
-            if recorded is None:
-                recorded = (lhs, rhs)
-    return recorded
-
-
-def _check_eq17(n, l, t, m):
-    # t column carries the window offset j for this identity.
-    j = t
-    recorded = None
-    for f in (dsums.psi_summand, dsums.unit_summand):
-        lhs = dsums.d_sum_base(f, n, j, l)
-        rhs = dsums.d_sum_direct(f, n, j, 0, l)
-        if lhs != rhs:
-            return lhs, rhs
-        if recorded is None:
-            recorded = (lhs, rhs)
-    return recorded
-
-
-def _check_eq94(n, l, t, m):
-    num = (central_binomial(l) * central_binomial(t) * central_binomial(n + l - t)
-           * central_binomial(n) * binomial(2 * n - t, n))
-    den = binomial(n + l, n) * binomial(2 * n + l - t, n)
-    rhs = (-1) ** t * exact_div(num, den)
-    return binomial(2 * n - t, t) * sums.psi_t(2 * n, t, l), rhs
-
-
-def _check_eq104(n, l, t, m):
-    return sums.psi(2 * n, 2, l), supercat.super_catalan(n, l) * dsums.q_scaled(n, 0, l)
-
-
-def _check_thm3(n, l, t, m):
-    rhs = supercat.super_catalan(n, l) * dsums.psi_quotient_witness(n, m, l)
-    return sums.psi(2 * n, m, l), rhs
-
-
-def _check_remark1(n, l, t, m):
-    num = central_binomial(l) * central_binomial(n + l) * central_binomial(n)
-    return sums.psi(2 * n, 1, l), exact_div(num, binomial(2 * n + l, l))
-
-
-def _check_remark2(n, l, t, m):
-    return sums.psi(2 * n, 2, l) % (2 * supercat.super_catalan(n, l)), 0
-
-
-def _check_remark3(n, l, t, m):
-    return sums.psi(2 * n, m, l) % (2 * supercat.super_catalan(n, l)), 0
-
-
-def _check_remark4(n, l, t, m):
-    return sums.psi(2 * n, m, l) % central_binomial(n), 0
-
-
-def _check_dlevel1(n, l, t, m):
-    # t column carries the window offset j. d_psi_level1 returns the direct
-    # sum and raises if the closed product below differs from it, so the
-    # record sets the two routes side by side.
-    j = t
-    direct, cofactor = dsums.d_psi_level1(n, j, l)
-    return direct, (-1) ** j * supercat.super_catalan(n, l) * cofactor
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 REGISTRY: dict[str, IdentitySpec] = {}
@@ -352,107 +144,10 @@ def register(spec: IdentitySpec) -> None:
         raise ValueError(f"identity {spec.name!r} already registered")
     if spec.relation not in ("equal", "remainder-zero", "remainder-nonzero"):
         raise ValueError(f"unknown relation {spec.relation!r}")
+    if not set(spec.params) <= set(_PARAMS) or len(set(spec.params)) < len(spec.params):
+        raise ValueError(f"params must be distinct names from {_PARAMS}, "
+                         f"got {spec.params!r}")
     REGISTRY[spec.name] = spec
-
-
-def _add(name, params, description, domain, check, relation="equal"):
-    register(IdentitySpec(name, description, params, domain, check, relation))
-
-
-_any = lambda n, l, t, m: True
-_t_le_n = lambda n, l, t, m: t <= n
-_t_lt_n = lambda n, l, t, m: t < n
-
-_add("vonszily", ("n", "l"),
-     "alternating binomial sum for S(n,l) equals the closed ratio form",
-     _any, _check_vonszily)
-_add("symmetry", ("n", "l"), "S(n,l) = S(l,n)", _any, _check_symmetry)
-_add("parity", ("n", "l"), "S(n,l) is even except S(0,0) = 1", _any, _check_parity)
-_add("thm1", ("n", "l"), "psi(2n,1,l) = S(n,l) S(n+l,n)", _any, _check_thm1)
-_add("eq2", ("n",),
-     "l=0 convolution row over central binomials equals binomial(2n,n)^2",
-     _any, _check_eq2)
-_add("eq3", ("n",),
-     "l=1 convolution row over Catalan numbers equals catalan(n) binomial(2n,n)",
-     _any, _check_eq3)
-_add("thm2", ("n", "l", "t"),
-     "window-t alternating convolution of length 2n equals phi(n,l,t)",
-     _t_le_n, _check_thm2)
-_add("eq8", ("n", "t"), "closed binomial form of psi_t(2n,t,0)",
-     _t_le_n, _check_eq8)
-_add("eq9", ("n", "t"), "closed Catalan form of the window-t l=1 row",
-     _t_le_n, _check_eq9)
-_add("eq18", ("n", "l", "t"), "psi_t(2n,t,l) = phi(n,l,t)", _t_le_n, _check_eq18)
-_add("eq20", ("n", "l", "t"), "psi_t vanishes at odd length 2n-1",
-     lambda n, l, t, m: n >= 1 and t <= n - 1, _check_eq20)
-_add("eq22", ("n", "l"), "full window: psi_t(2n,n,l) = (-1)^n S(n,l)^2",
-     _any, _check_eq22)
-_add("eq28", ("n", "l", "t"), "p_sum(2n,t,l) = (n-t) psi_t(2n,t,l)",
-     _t_le_n, _check_eq28)
-_add("eq29", ("n", "l", "t"), "(n+l+1) r_prime_sum(2n,t,l) = r_sum(2n,t,l)",
-     _t_le_n, _check_eq29)
-_add("eq33", ("l",), "central binomial ratio: l cb(l) = 2(2l-1) cb(l-1)",
-     lambda n, l, t, m: l >= 1, _check_eq33)
-_add("eq47", ("n", "l", "t"),
-     "p_sum at any length n from psi_t and r_sum at length n-1",
-     lambda n, l, t, m: 2 * t < n, _check_eq47)
-_add("eq51", ("n", "l", "t"),
-     "t_sum(n,t,l) = (n+l+1-t) r_sum(n,t,l) - (2l+1) psi_t(n,t,l)",
-     lambda n, l, t, m: 2 * t <= n, _check_eq51)
-_add("eq53", ("n", "l", "t"),
-     "t_sum(n,t,l) as a weighted alternating sum one length down",
-     lambda n, l, t, m: 2 * t <= n, _check_eq53)
-_add("eq58", ("n", "l", "t"), "r_dprime_sum(2n,t,l) = n r_prime_sum(2n,t,l)",
-     _t_le_n, _check_eq58)
-_add("lemma1", ("n", "l", "t"),
-     "cleared form: 2(2n-1-2t)(2n-1) psi_t(2n-2,t,l+1) = (2n+l-t)(2l+1) psi_t(2n,t,l)",
-     _t_lt_n, _check_lemma1)
-_add("lemma2", ("n", "l", "t"),
-     "cleared form: 4(2l+1) r_sum(2n,t,l) = (n+l+1) psi_t(2n,t,l+1)",
-     _t_le_n, _check_lemma2)
-_add("lemma3", ("n", "l", "t"), "psi_t(2n,t,l) = 4 r_sum(2n-1,t,l) for t < n",
-     _t_lt_n, _check_lemma3)
-_add("lemma4", ("n", "l", "t"),
-     "cleared form: (2n+l-t)(n+l) r_sum(2n-1,t,l) = 2(2n-1-2t)(2n-1) r_sum(2n-2,t,l)",
-     _t_lt_n, _check_lemma4)
-_add("eq64phi", ("n", "l", "t"),
-     "cleared phi recurrence linking (n, l+1) to (n+1, l)",
-     _t_lt_n, _check_eq64phi)
-_add("eq12", ("n", "l", "m"),
-     "psi(n,m,l) = level engine at j=0, level m-2 (any length parity)",
-     lambda n, l, t, m: m >= 2, _check_eq12)
-_add("eq13", ("n", "l", "t"),
-     "level recurrence equals direct evaluation at level t, all window "
-     "offsets, both summands",
-     lambda n, l, t, m: 1 <= t <= 3, _check_eq13)
-_add("eq17", ("n", "l", "t"),
-     "base layer over a_t windows equals direct level 0; t column is the "
-     "window offset j",
-     lambda n, l, t, m: 2 * t <= n, _check_eq17)
-_add("eq94", ("n", "l", "t"),
-     "scaled closed form of binomial(2n-t,t) psi_t(2n,t,l)",
-     _t_le_n, _check_eq94)
-_add("eq104", ("n", "l"),
-     "psi(2n,2,l) = S(n,l) times an explicit integer cofactor",
-     _any, _check_eq104)
-_add("thm3", ("n", "l", "m"),
-     "S(n,l) divides psi(2n,m,l), with the constructive witness quotient",
-     _any, _check_thm3)
-_add("remark1", ("n", "l"), "product form of psi(2n,1,l) over four binomials",
-     _any, _check_remark1)
-_add("remark2", ("n", "l"), "2 S(n,l) divides psi(2n,2,l) for l >= 1",
-     lambda n, l, t, m: l >= 1, _check_remark2, "remainder-zero")
-_add("remark3", ("n", "l", "m"), "2 S(n,l) divides psi(2n,m,l) for l >= 1",
-     lambda n, l, t, m: l >= 1, _check_remark3, "remainder-zero")
-_add("remark4", ("n", "l", "m"),
-     "counterexample: binomial(2n,n) does not divide psi(2n,m,l) at "
-     "n=4, m=1, l=2 (the recorded lhs is the nonzero remainder)",
-     lambda n, l, t, m: (n, l, m) == (4, 2, 1), _check_remark4,
-     "remainder-nonzero")
-_add("dlevel1", ("n", "l", "t"),
-     "level-1 layer D(2n,j,1) equals (-1)^j S(n,l) times its integer "
-     "witness cofactor; t column is the window offset j",
-     _t_le_n, _check_dlevel1)
 
 
 def registry_ids() -> tuple[str, ...]:
@@ -464,6 +159,289 @@ def get_identity(name: str) -> IdentitySpec:
         return REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown identity {name!r}") from None
+
+
+_any = lambda n, l, t, m: True
+_t_le_n = lambda n, l, t, m: t <= n
+_t_lt_n = lambda n, l, t, m: t < n
+_2t_le_n = lambda n, l, t, m: 2 * t <= n
+_l_ge_1 = lambda n, l, t, m: l >= 1
+
+
+def _identity(params, description, domain=_any, relation="equal"):
+    """Register the decorated _check_<name> as identity <name>.
+
+    The description is an argument, not the docstring, so that it survives
+    python -OO. Decorators run in definition order, which is the order of
+    REGISTRY.
+    """
+    def declare(check):
+        name = check.__name__.removeprefix("_check_")
+        register(IdentitySpec(name, description, params, domain, check, relation))
+        return check
+    return declare
+
+
+# ---------------------------------------------------------------------------
+# checks
+
+
+@_identity(("n", "l"), "alternating binomial sum for S(n,l) equals the closed ratio form")
+def _check_vonszily(n, l, t, m):
+    # the factorial route must agree with the ratio route the record shows
+    ratio = supercat.super_catalan(n, l)
+    factorial = supercat.super_catalan_factorial(n, l)
+    if factorial != ratio:
+        raise IntegrityError(f"factorial route disagrees at n={n}, l={l}: "
+                             f"{factorial} vs ratio {ratio}")
+    return supercat.super_catalan_von_szily(n, l), ratio
+
+
+@_identity(("n", "l"), "S(n,l) = S(l,n)")
+def _check_symmetry(n, l, t, m):
+    return supercat.super_catalan(n, l), supercat.super_catalan(l, n)
+
+
+@_identity(("n", "l"), "S(n,l) is even except S(0,0) = 1")
+def _check_parity(n, l, t, m):
+    return supercat.super_catalan(n, l) % 2, 1 if n == l == 0 else 0
+
+
+@_identity(("n", "l"), "psi(2n,1,l) = S(n,l) S(n+l,n)")
+def _check_thm1(n, l, t, m):
+    rhs = supercat.super_catalan(n, l) * supercat.super_catalan(n + l, n)
+    return sums.psi(2 * n, 1, l), rhs
+
+
+@_identity(("n",), "l=0 convolution row over central binomials equals binomial(2n,n)^2")
+def _check_eq2(n, l, t, m):
+    lhs = sum((-1) ** k * binomial(2 * n, k) * central_binomial(k)
+              * binomial(4 * n - 2 * k, 2 * n - k)
+              for k in range(2 * n + 1))
+    return lhs, central_binomial(n) ** 2
+
+
+@_identity(("n",),
+           "l=1 convolution row over Catalan numbers equals catalan(n) binomial(2n,n)")
+def _check_eq3(n, l, t, m):
+    C = supercat.catalan
+    lhs = sum((-1) ** k * binomial(2 * n, k) * C(k) * C(2 * n - k)
+              for k in range(2 * n + 1))
+    return lhs, C(n) * central_binomial(n)
+
+
+@_identity(("n", "l", "t"),
+           "window-t alternating convolution of length 2n equals phi(n,l,t)", _t_le_n)
+def _check_thm2(n, l, t, m):
+    return dsums.a_t(dsums.psi_summand, 2 * n, t, l), supercat.phi(n, l, t)
+
+
+@_identity(("n", "t"), "closed binomial form of psi_t(2n,t,0)", _t_le_n)
+def _check_eq8(n, l, t, m):
+    num = central_binomial(n) * central_binomial(t) * binomial(2 * n - 2 * t, n - t)
+    rhs = (-1) ** t * exact_div(num, binomial(2 * n - t, t))
+    return sums.psi_t(2 * n, t, 0), rhs
+
+
+@_identity(("n", "t"), "closed Catalan form of the window-t l=1 row", _t_le_n)
+def _check_eq9(n, l, t, m):
+    C = supercat.catalan
+    lhs = sum((-1) ** k * binomial(2 * n - 2 * t, k - t) * C(k) * C(2 * n - k)
+              for k in range(t, 2 * n - t + 1))
+    num = C(n) * central_binomial(t) * binomial(2 * n - 2 * t, n - t)
+    return lhs, (-1) ** t * exact_div(num, binomial(2 * n + 1 - t, t))
+
+
+@_identity(("n", "l", "t"), "psi_t(2n,t,l) = phi(n,l,t)", _t_le_n)
+def _check_eq18(n, l, t, m):
+    return sums.psi_t(2 * n, t, l), supercat.phi(n, l, t)
+
+
+@_identity(("n", "l", "t"), "psi_t vanishes at odd length 2n-1", _t_lt_n)
+def _check_eq20(n, l, t, m):
+    return sums.psi_t(2 * n - 1, t, l), 0
+
+
+@_identity(("n", "l"), "full window: psi_t(2n,n,l) = (-1)^n S(n,l)^2")
+def _check_eq22(n, l, t, m):
+    s = supercat.super_catalan(n, l)
+    return sums.psi_t(2 * n, n, l), (-1) ** n * s * s
+
+
+@_identity(("n", "l", "t"), "p_sum(2n,t,l) = (n-t) psi_t(2n,t,l)", _t_le_n)
+def _check_eq28(n, l, t, m):
+    return sums.p_sum(2 * n, t, l), (n - t) * sums.psi_t(2 * n, t, l)
+
+
+@_identity(("n", "l", "t"), "(n+l+1) r_prime_sum(2n,t,l) = r_sum(2n,t,l)", _t_le_n)
+def _check_eq29(n, l, t, m):
+    return (n + l + 1) * sums.r_prime_sum(2 * n, t, l), sums.r_sum(2 * n, t, l)
+
+
+@_identity(("l",), "central binomial ratio: l cb(l) = 2(2l-1) cb(l-1)", _l_ge_1)
+def _check_eq33(n, l, t, m):
+    return l * central_binomial(l), 2 * (2 * l - 1) * central_binomial(l - 1)
+
+
+@_identity(("n", "l", "t"), "p_sum at any length n from psi_t and r_sum at length n-1",
+           lambda n, l, t, m: 2 * t < n)
+def _check_eq47(n, l, t, m):
+    rhs = (4 * (n - 2 * t) * sums.psi_t(n - 1, t, l)
+           + (-1) ** n * 2 * (n - 2 * t) * sums.r_sum(n - 1, t, l))
+    return sums.p_sum(n, t, l), rhs
+
+
+@_identity(("n", "l", "t"),
+           "t_sum(n,t,l) = (n+l+1-t) r_sum(n,t,l) - (2l+1) psi_t(n,t,l)", _2t_le_n)
+def _check_eq51(n, l, t, m):
+    rhs = (n + l + 1 - t) * sums.r_sum(n, t, l) - (2 * l + 1) * sums.psi_t(n, t, l)
+    return sums.t_sum(n, t, l), rhs
+
+
+@_identity(("n", "l", "t"),
+           "t_sum(n,t,l) as a weighted alternating sum one length down", _2t_le_n)
+def _check_eq53(n, l, t, m):
+    S = supercat.super_catalan
+    inner = sum((Fraction((-1) ** k * (2 * n - 2 * k - 1) * binomial(n - 1 - 2 * t, k - t)
+                          * S(k, l) * S(n - 1 - k, l), (k + l + 1) * (n - k + l))
+                 for k in range(t, n - t)), Fraction(0))
+    return sums.t_sum(n, t, l), 2 * (n - 2 * t) * (2 * l + 1) * inner
+
+
+@_identity(("n", "l", "t"), "r_dprime_sum(2n,t,l) = n r_prime_sum(2n,t,l)", _t_le_n)
+def _check_eq58(n, l, t, m):
+    return sums.r_dprime_sum(2 * n, t, l), n * sums.r_prime_sum(2 * n, t, l)
+
+
+@_identity(("n", "l", "t"),
+           "cleared form: 2(2n-1-2t)(2n-1) psi_t(2n-2,t,l+1) = "
+           "(2n+l-t)(2l+1) psi_t(2n,t,l)", _t_lt_n)
+def _check_lemma1(n, l, t, m):
+    lhs = 2 * (2 * n - 1 - 2 * t) * (2 * n - 1) * sums.psi_t(2 * n - 2, t, l + 1)
+    rhs = (2 * n + l - t) * (2 * l + 1) * sums.psi_t(2 * n, t, l)
+    return lhs, rhs
+
+
+@_identity(("n", "l", "t"),
+           "cleared form: 4(2l+1) r_sum(2n,t,l) = (n+l+1) psi_t(2n,t,l+1)", _t_le_n)
+def _check_lemma2(n, l, t, m):
+    lhs = 4 * (2 * l + 1) * sums.r_sum(2 * n, t, l)
+    return lhs, (n + l + 1) * sums.psi_t(2 * n, t, l + 1)
+
+
+@_identity(("n", "l", "t"), "psi_t(2n,t,l) = 4 r_sum(2n-1,t,l) for t < n", _t_lt_n)
+def _check_lemma3(n, l, t, m):
+    return sums.psi_t(2 * n, t, l), 4 * sums.r_sum(2 * n - 1, t, l)
+
+
+@_identity(("n", "l", "t"),
+           "cleared form: (2n+l-t)(n+l) r_sum(2n-1,t,l) = "
+           "2(2n-1-2t)(2n-1) r_sum(2n-2,t,l)", _t_lt_n)
+def _check_lemma4(n, l, t, m):
+    lhs = (2 * n + l - t) * (n + l) * sums.r_sum(2 * n - 1, t, l)
+    rhs = 2 * (2 * n - 1 - 2 * t) * (2 * n - 1) * sums.r_sum(2 * n - 2, t, l)
+    return lhs, rhs
+
+
+@_identity(("n", "l", "t"), "cleared phi recurrence linking (n, l+1) to (n+1, l)", _t_lt_n)
+def _check_eq64phi(n, l, t, m):
+    lhs = 2 * (2 * n + 1 - 2 * t) * (2 * n + 1) * supercat.phi(n, l + 1, t)
+    rhs = (2 * n + 2 + l - t) * (2 * l + 1) * supercat.phi(n + 1, l, t)
+    return lhs, rhs
+
+
+@_identity(("n", "l", "m"),
+           "psi(n,m,l) = level engine at j=0, level m-2 (any length parity)",
+           lambda n, l, t, m: m >= 2)
+def _check_eq12(n, l, t, m):
+    return sums.psi(n, m, l), dsums.d_sum_direct(dsums.psi_summand, n, 0, m - 2, l)
+
+
+_SUMMANDS = (dsums.psi_summand, dsums.unit_summand)
+
+
+def _first_mismatch(pairs):
+    # the first unequal (lhs, rhs) pair, else the first pair; pairs after a
+    # mismatch are not evaluated
+    first = None
+    for pair in pairs:
+        if pair[0] != pair[1]:
+            return pair
+        first = first or pair
+    return first
+
+
+@_identity(("n", "l", "t"),
+           "level recurrence equals direct evaluation at level t, all window "
+           "offsets, both summands", lambda n, l, t, m: 1 <= t <= 3)
+def _check_eq13(n, l, t, m):
+    return _first_mismatch(
+        (dsums.d_sum_step(f, n, j, t, l), dsums.d_sum_direct(f, n, j, t, l))
+        for f in _SUMMANDS for j in range(n // 2 + 1))
+
+
+@_identity(("n", "l", "t"),
+           "base layer over a_t windows equals direct level 0; t column is the "
+           "window offset j", _2t_le_n)
+def _check_eq17(n, l, t, m):
+    return _first_mismatch(
+        (dsums.d_sum_base(f, n, t, l), dsums.d_sum_direct(f, n, t, 0, l)) for f in _SUMMANDS)
+
+
+@_identity(("n", "l", "t"), "scaled closed form of binomial(2n-t,t) psi_t(2n,t,l)", _t_le_n)
+def _check_eq94(n, l, t, m):
+    num = (central_binomial(l) * central_binomial(t) * central_binomial(n + l - t)
+           * central_binomial(n) * binomial(2 * n - t, n))
+    den = binomial(n + l, n) * binomial(2 * n + l - t, n)
+    rhs = (-1) ** t * exact_div(num, den)
+    return binomial(2 * n - t, t) * sums.psi_t(2 * n, t, l), rhs
+
+
+@_identity(("n", "l"), "psi(2n,2,l) = S(n,l) times an explicit integer cofactor")
+def _check_eq104(n, l, t, m):
+    return sums.psi(2 * n, 2, l), supercat.super_catalan(n, l) * dsums.q_scaled(n, 0, l)
+
+
+@_identity(("n", "l", "m"),
+           "S(n,l) divides psi(2n,m,l), with the constructive witness quotient")
+def _check_thm3(n, l, t, m):
+    rhs = supercat.super_catalan(n, l) * dsums.psi_quotient_witness(n, m, l)
+    return sums.psi(2 * n, m, l), rhs
+
+
+@_identity(("n", "l"), "product form of psi(2n,1,l) over four binomials")
+def _check_remark1(n, l, t, m):
+    num = central_binomial(l) * central_binomial(n + l) * central_binomial(n)
+    return sums.psi(2 * n, 1, l), exact_div(num, binomial(2 * n + l, l))
+
+
+@_identity(("n", "l"), "2 S(n,l) divides psi(2n,2,l) for l >= 1", _l_ge_1, "remainder-zero")
+def _check_remark2(n, l, t, m):
+    return sums.psi(2 * n, 2, l) % (2 * supercat.super_catalan(n, l)), 0
+
+
+@_identity(("n", "l", "m"), "2 S(n,l) divides psi(2n,m,l) for l >= 1", _l_ge_1,
+           "remainder-zero")
+def _check_remark3(n, l, t, m):
+    return sums.psi(2 * n, m, l) % (2 * supercat.super_catalan(n, l)), 0
+
+
+@_identity(("n", "l", "m"),
+           "counterexample: binomial(2n,n) does not divide psi(2n,m,l) at "
+           "n=4, m=1, l=2 (the recorded lhs is the nonzero remainder)",
+           lambda n, l, t, m: (n, l, m) == (4, 2, 1), "remainder-nonzero")
+def _check_remark4(n, l, t, m):
+    return sums.psi(2 * n, m, l) % central_binomial(n), 0
+
+
+@_identity(("n", "l", "t"),
+           "level-1 layer D(2n,j,1) equals (-1)^j S(n,l) times its integer "
+           "witness cofactor; t column is the window offset j", _t_le_n)
+def _check_dlevel1(n, l, t, m):
+    # d_psi_level1 returns the direct sum and raises if the closed product
+    # below differs from it, so the record sets the two routes side by side
+    direct, cofactor = dsums.d_psi_level1(n, t, l)
+    return direct, (-1) ** t * supercat.super_catalan(n, l) * cofactor
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +548,9 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     """
     if grid is None:
         grid = GridBounds()
+    if isinstance(names, str):
+        raise TypeError(f"names must be a collection of identity names, "
+                        f"not the str {names!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercatalan import exactnum, sums, supercat, verifier
+from supercatalan import dsums, exactnum, sums, supercat, verifier
 from supercatalan.exactnum import memo_scope, memoized
 from supercatalan.verifier import (
     REGISTRY,
@@ -255,6 +255,12 @@ def test_sweep_rejects_bad_arguments():
         sweep(["thm1"], jobs=0)
 
 
+def test_sweep_rejects_a_bare_string():
+    # a str is an iterable of characters, not of identity names
+    with pytest.raises(TypeError, match="not the str 'thm1'"):
+        sweep("thm1")
+
+
 @pytest.fixture(scope="module")
 def default_report():
     return sweep(registry_ids())
@@ -336,6 +342,16 @@ def test_register_rejects_duplicates_and_bad_relations():
                               lambda n, l, t, m: (0, 0),
                               relation="approximately-equal"))
     assert "fresh-name" not in REGISTRY
+
+
+@pytest.mark.parametrize("params", [("n", "k"), ("n", "n"), ("j",)])
+def test_register_rejects_bad_params(params):
+    # a param outside (n, l, t, m) has no column: sweep would drop it
+    before = dict(REGISTRY)
+    with pytest.raises(ValueError, match="params must be distinct names"):
+        register(IdentitySpec("bad", "", params, lambda n, l, t, m: True,
+                              lambda n, l, t, m: (0, 0)))
+    assert REGISTRY == before
 
 
 def _with_temporary_identity(name, check, relation="equal"):
@@ -465,6 +481,45 @@ def test_vonszily_rows_fail_when_the_factorial_route_drifts(monkeypatch):
     assert {r.status for r in report.results} == {"fail"}
     monkeypatch.setattr(supercat, "super_catalan_factorial", factorial)
     assert sweep(["vonszily"], GridBounds(n_max=4, l_max=3)).failed == 0
+
+
+def _drift_unit_summand_at_j1(monkeypatch, name):
+    # the route returns its value + 1 for unit_summand at window offset 1 only
+    original = getattr(dsums, name)
+
+    def drifted(f, n, j, *rest):
+        value = original(f, n, j, *rest)
+        return value + 1 if f is dsums.unit_summand and j == 1 else value
+
+    monkeypatch.setattr(dsums, name, drifted)
+    return original
+
+
+def test_eq13_records_the_first_mismatching_pair(monkeypatch):
+    step = _drift_unit_summand_at_j1(monkeypatch, "d_sum_step")
+    n, l, level = 5, 2, 2
+    result = run_check("eq13", n=n, l=l, t=level)
+    assert result.status == "fail"
+    assert (result.lhs, result.rhs) == (
+        str(step(dsums.unit_summand, n, 1, level, l) + 1),
+        str(dsums.d_sum_direct(dsums.unit_summand, n, 1, level, l)))
+    # the psi-summand j=0 pair is recorded when no window offset 1 exists
+    report = sweep(["eq13"], GridBounds(n_max=3, l_max=1))
+    assert {r.status for r in report.results if r.n >= 2} == {"fail"}
+    assert {r.status for r in report.results if r.n < 2} == {"pass"}
+
+
+def test_eq17_records_the_first_mismatching_pair(monkeypatch):
+    base = _drift_unit_summand_at_j1(monkeypatch, "d_sum_base")
+    n, l = 5, 2
+    result = run_check("eq17", n=n, l=l, t=1)
+    assert result.status == "fail"
+    assert (result.lhs, result.rhs) == (
+        str(base(dsums.unit_summand, n, 1, l) + 1),
+        str(dsums.d_sum_direct(dsums.unit_summand, n, 1, 0, l)))
+    report = sweep(["eq17"], GridBounds(n_max=4, l_max=1))
+    assert {r.status for r in report.results if r.t == 1} == {"fail"}
+    assert {r.status for r in report.results if r.t != 1} == {"pass"}
 
 
 def test_human_report_shape():
