@@ -30,21 +30,24 @@ their sums is one sum(map(mul, ...)) over slices of those rows, so its loop
 runs in C, and the direct sums of one (n, l) evaluate f only n + 1 times,
 whatever j and t they take.
 
-No other inner sum takes a binomial per term either. a_t, the inner sum of
-_base_expanded and q_scaled take each binomial factor once, for the first
-term, and walk from there by its exact ratio: one small-integer product and
-one quotient a term, exact by the identity it steps, e.g.
+No other inner sum takes a binomial per term either. a_t reads its
+binomials from a Pascal row, and q_scaled reads binomial(n-s, v) from one.
+The inner sum of _base_expanded and the central binomials of q_scaled walk
+instead: each factor is taken once, for the first term, and then stepped
+by its exact ratio, one small-integer product and one quotient a term:
 
     binomial(N, k+1)    = binomial(N, k) (N-k) / (k+1)
     binomial(2w+2, w+1) = binomial(2w, w) 2(2w+1) / (w+1)
 
-a_t and the base regroupings call f directly, so eq17 plays the summand row
-against direct calls. The outer loops of d_sum_step and the base
-regroupings, each of whose terms runs an inner sum, and q_sum, which no
-sweep reaches, take binomial() per term. Each walk writes its steps out
-inline: at the lengths the sweeps run, a generator per factor costs about
-as much as the binomial it replaces. The routes share no code beyond the
-rows, so the cross-checks between them stay independent.
+Each walk is inline, since at the lengths the sweeps run a generator per
+factor costs about as much as the binomial it replaces. The outer loops of
+d_sum_step and the base regroupings, and q_sum, which no sweep reaches,
+take binomial() per term.
+
+d_sum_base plays a walk (_base_expanded) against rows (a_t under
+_base_windowed). a_t and the regroupings call f directly, so eq17 plays
+them against the summand row. The routes share no code beyond the rows, so
+the cross-checks between them stay independent.
 
 A witness row holds D(2n, j, level) / S(n, l) for j = 0..n. It weights a
 vector w once, and its entry j is sum_k binomial(2n-j, k-j) w[k], one dot
@@ -161,12 +164,7 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
 def a_t(f: Summand, n: int, t: int, l: int) -> int:
     """Windowed sum a_t(n) = sum_{k=t}^{n-t} binomial(n-2t, k-t) f(n, k, l)."""
     _check_window(n, t)
-    c = 1  # binomial(n-2t, i) at k = t+i
-    total = 0
-    for i, k in enumerate(range(t, n - t + 1)):
-        total += c * f(n, k, l)
-        c = c * (n - 2 * t - i) // (i + 1)
-    return total
+    return sum(map(mul, _pascal(n - 2 * t), map(f, repeat(n), range(t, n - t + 1), repeat(l))))
 
 
 def _base_windowed(f: Summand, n: int, j: int, l: int) -> int:
@@ -233,13 +231,12 @@ def q_scaled(n: int, s: int, l: int) -> int:
     if n < 0 or l < 0 or not 0 <= s <= n:
         raise ValueError(f"q_scaled requires n, l >= 0 and 0 <= s <= n, "
                          f"got n={n}, s={s}, l={l}")
-    a, c = central_binomial(s), 1  # binomial(2(s+v), s+v), binomial(n-s, v)
+    a = central_binomial(s)  # binomial(2(s+v), s+v)
     total = 0
-    for v in range(n - s + 1):
+    for v, c in enumerate(_pascal(n - s)):
         x = a * c * super_catalan(n, n + l - s - v)
         total += -x if v & 1 else x
         a = a * 2 * (2 * (s + v) + 1) // (s + v + 1)
-        c = c * (n - s - v) // (v + 1)
     return total
 
 

@@ -24,10 +24,12 @@ den(k) over the window, the walk carries the integer term(k) L/den(k) (its
 step ratio gains the factor den(k)/den(k+1)), adds the weighted numerators
 and builds one Fraction over L at the end.
 
-Each of the seven is memoized (exactnum.memoized): inside a sweep or a
+Six of the seven are memoized (exactnum.memoized): inside a sweep or a
 run_check, identities that evaluate the same sum at the same arguments
 share one evaluation, and the memo is emptied when the sweep ends. A call
 made outside such a scope computes its sum afresh and keeps nothing.
+r_dprime_sum is not: only eq58 reads it, once a point, so a sweep never
+asks for the same value twice.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ def r_prime_sum(n: int, t: int, l: int) -> Fraction:
                      lambda k: (k + l + 1) * (n - k + l + 1))
 
 
-@memoized
 def r_dprime_sum(n: int, t: int, l: int) -> Fraction:
     """r_prime_sum with the extra weight (n - k) on each term."""
     return _windowed(n, t, l, lambda k: (2 * l + 1) * (n - k),

@@ -17,14 +17,15 @@ memo is emptied when they return. Its keys are the function and its
 arguments, so the routes a check compares never share a value.
 
 A check never aborts a sweep. Failures and integrity errors are recorded
-as results; points outside an identity's domain are skipped with a
-machine-readable reason (which only happens through run_check, since the
-sweep enumerates domains exactly).
+as results; points outside an identity's domain or below the grid are
+skipped with a machine-readable reason (which only happens through
+run_check, since the sweep enumerates domains exactly).
 
 Parameter columns are fixed to (n, l, t, m), and register rejects any
 other param name. Identities over the level engine reuse the t column for
-a window offset j or a level; their descriptions say which. The field
-order of CheckResult is the column order of every record stream.
+a window offset j or a level; their descriptions say which. A CheckResult
+is a NamedTuple, already a row in the column order of every record stream,
+so the serializers and the process pool take it as it is.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import dsums, sums, supercat
 from .exactnum import IntegrityError, binomial, central_binomial, exact_div, memo_scope
@@ -57,9 +57,8 @@ __all__ = [
     "to_human",
 ]
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One evaluated (identity, point) pair.
+class CheckResult(NamedTuple):
+    """One evaluated (identity, point) pair, a tuple in column order.
 
     lhs and rhs are exact decimal strings ("8624", "-8", "10/3"); status is
     "pass", "fail" or "skipped". For remainder-relation identities lhs is
@@ -78,10 +77,9 @@ class CheckResult:
     reason: str = ""
 
 
-_COLUMNS = tuple(f.name for f in fields(CheckResult))
+_COLUMNS = CheckResult._fields
 _PARAMS = _COLUMNS[1:5]  # the point coordinates (n, l, t, m)
-_row = attrgetter(*_COLUMNS)
-_point = attrgetter(*_PARAMS)
+_FLOORS = (0, 0, 0, 1)  # the lowest value of each coordinate in any grid
 # one JSONL record: every key in column order, every value a %s slot
 _JSONL_LINE = "{" + ",".join(f"{encode_basestring_ascii(c)}:%s" for c in _COLUMNS) + "}\n"
 
@@ -474,10 +472,11 @@ def run_check(name: str, *, n: int | None = None, l: int | None = None,
               t: int | None = None, m: int | None = None) -> CheckResult:
     """Evaluate one identity at one point.
 
-    Points outside the identity's domain, including points missing a
-    required parameter, come back as skipped with a reason; an unknown
-    identity name raises ValueError, and a parameter of the identity that
-    is not exactly an int (a bool, say) raises TypeError.
+    Points outside the identity's domain, including points below the grid
+    (n, l or t < 0, m < 1) and points missing a required parameter, come
+    back as skipped with a reason; an unknown identity name raises
+    ValueError, and a parameter of the identity that is not exactly an int
+    (a bool, say) raises TypeError.
     """
     spec = get_identity(name)
     point = _normalize_point(spec, n, l, t, m)
@@ -489,7 +488,8 @@ def run_check(name: str, *, n: int | None = None, l: int | None = None,
     if missing:
         return CheckResult(spec.name, *point, "", "", "skipped",
                            f"missing parameter(s): {', '.join(missing)}")
-    if not spec.domain(*point):
+    if (any(v is not None and v < lo for v, lo in zip(point, _FLOORS))
+            or not spec.domain(*point)):
         return CheckResult(spec.name, *point, "", "", "skipped",
                            f"point outside domain of {spec.name}")
     with memo_scope:
@@ -499,10 +499,9 @@ def run_check(name: str, *, n: int | None = None, l: int | None = None,
 def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[Point]:
     # nested ascending loops make the enumeration lexicographic in (n,l,t,m)
     t_hi = grid.t_max if grid.t_max is not None else grid.n_max
-    ns = range(grid.n_max + 1) if "n" in spec.params else (None,)
-    ls = range(grid.l_max + 1) if "l" in spec.params else (None,)
-    ts = range(t_hi + 1) if "t" in spec.params else (None,)
-    ms = range(1, grid.m_max + 1) if "m" in spec.params else (None,)
+    highs = (grid.n_max, grid.l_max, t_hi, grid.m_max)
+    ns, ls, ts, ms = (range(lo, hi + 1) if p in spec.params else (None,)
+                      for p, lo, hi in zip(_PARAMS, _FLOORS, highs))
     for n in ns:
         for l in ls:
             for t in ts:
@@ -612,7 +611,7 @@ def to_jsonl(report: Report) -> str:
                        "null" if l is None else l, "null" if t is None else t,
                        "null" if m is None else m, quote(lhs), quote(rhs),
                        quote(status), quote(reason))
-        for identity, n, l, t, m, lhs, rhs, status, reason in map(_row, report.results))
+        for identity, n, l, t, m, lhs, rhs, status, reason in report.results)
 
 
 def to_csv(report: Report) -> str:
@@ -620,7 +619,7 @@ def to_csv(report: Report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)
-    writer.writerows(map(_row, report.results))
+    writer.writerows(report.results)
     return buf.getvalue()
 
 
@@ -651,7 +650,7 @@ def to_human(report: Report, show_timestamp: bool = True) -> str:
         lines.append("")
         lines.append("failures:")
         for r in bad:
-            point = ", ".join(f"{k}={v}" for k, v in zip(_PARAMS, _point(r))
+            point = ", ".join(f"{k}={v}" for k, v in zip(_PARAMS, r[1:5])
                               if v is not None)
             detail = f"  {r.identity} at {point}: lhs={r.lhs} rhs={r.rhs}"
             if r.reason:

@@ -174,6 +174,17 @@ def test_module_entry_point_subprocess():
     assert proc.stderr == ""
 
 
+def test_records_are_the_same_under_python_oo():
+    # -OO strips docstrings and asserts; no record may depend on either
+    argv = ["-m", "supercatalan", "verify", "--all", "--default-grid",
+            "--format", "json", "--no-timestamp"]
+    plain, stripped = (subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                                      text=True, timeout=300)
+                       for flags in ([], ["-OO"]))
+    assert plain.returncode == stripped.returncode == 0, stripped.stderr
+    assert plain.stdout and stripped.stdout == plain.stdout
+
+
 def test_verify_json_format_available(capsys):
     code, out, _ = run_cli(capsys, "verify", "--id", "eq33", "--l-max", "3",
                            "--format", "json")

@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import json
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -93,6 +94,16 @@ def test_run_check_single_point():
     assert result == CheckResult("thm1", 1, 1, None, None, "8", "8", "pass")
 
 
+def test_a_record_is_its_row_in_column_order():
+    assert CheckResult._fields == verifier._COLUMNS
+    result = run_check("thm1", n=1, l=1)
+    assert tuple(result) == ("thm1", 1, 1, None, None, "8", "8", "pass", "")
+    with pytest.raises(AttributeError):
+        result.status = "fail"
+    results = sweep(["thm1", "eq33"], GridBounds(n_max=2, l_max=2)).results
+    assert pickle.loads(pickle.dumps(results)) == results
+
+
 def test_run_check_ignores_unused_parameters():
     result = run_check("thm1", n=1, l=1, t=9, m=9)
     assert result.t is None and result.m is None
@@ -112,9 +123,12 @@ def test_run_check_nondivisibility_point():
 
 
 def test_run_check_skips_outside_domain():
-    result = run_check("eq33", l=0)
-    assert result.status == "skipped"
-    assert result.reason == "point outside domain of eq33"
+    # eq33 needs l >= 1; the others lie below the grid every sweep starts at
+    for name, point in [("eq33", {"l": 0}), ("thm3", {"n": 2, "l": 1, "m": 0}),
+                        ("thm1", {"n": -1, "l": 0}), ("eq20", {"n": 0, "l": 0, "t": -1})]:
+        result = run_check(name, **point)
+        assert result.status == "skipped", result
+        assert result.reason == f"point outside domain of {name}"
 
 
 def test_run_check_skips_on_missing_parameters():
@@ -300,7 +314,7 @@ _RESULT = st.builds(CheckResult, identity=_TEXT, n=_POINT, l=_POINT, t=_POINT,
 def test_jsonl_template_equals_json_dumps(results):
     report = verifier.Report(tuple(results), (), GridBounds(), 0, 0, 0, 0.0, "")
     reference = "".join(
-        json.dumps(dict(zip(verifier._COLUMNS, verifier._row(r))),
+        json.dumps(dict(zip(verifier._COLUMNS, r)),
                    separators=(",", ":")) + "\n"
         for r in results)
     assert to_jsonl(report) == reference
