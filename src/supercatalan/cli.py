@@ -7,7 +7,8 @@ Three subcommands:
     sweep    like verify but machine-readable output only, explicit bounds
 
 Exit status is 0 for success, 1 when any identity check failed, 2 for
-usage errors. All printed values are exact; rationals appear as p/q.
+usage errors and an --output file that cannot be written. All printed
+values are exact; rationals appear as p/q.
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ def _selected_ids(args: argparse.Namespace) -> list[str]:
     if args.all:
         return list(verifier.registry_ids())
     if args.id:
-        for name in args.id:
-            if name not in verifier.REGISTRY:
-                raise _UsageError(f"unknown identity {name!r}")
         return args.id
     raise _UsageError("select identities with --all or --id")
 
@@ -139,18 +137,14 @@ def _given_bounds(args: argparse.Namespace) -> dict[str, int]:
             if getattr(args, name) is not None}
 
 
-def _grid_from(args: argparse.Namespace) -> verifier.GridBounds:
-    try:
-        return verifier.GridBounds(**_given_bounds(args))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
     ids = _selected_ids(args)
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be at least 1")
-    report = verifier.sweep(ids, _grid_from(args), jobs=args.jobs)
+    try:
+        # sweep and GridBounds validate the selection, jobs and bounds
+        report = verifier.sweep(ids, verifier.GridBounds(**_given_bounds(args)),
+                                jobs=args.jobs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     if args.format == "json":
         text = verifier.to_jsonl(report)
     elif args.format == "csv":
@@ -158,8 +152,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
     else:
         text = verifier.to_human(report, show_timestamp=not args.no_timestamp)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.output}: "
+                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return 1 if report.failed else 0

@@ -7,9 +7,10 @@ _check_<name> function, which registers it as <name> with its params,
 description, domain and relation; identities added at runtime go through
 register(IdentitySpec(...)). sweep() evaluates a selection of identities
 over a bounded grid, exhaustively on the intersection of each identity's
-domain with the grid, optionally in parallel, and always merges results
-into the same deterministic order: two invocations with the same arguments
-serialize to byte-identical reports regardless of the worker count.
+domain with the grid, one identity per unit of work, serially or over a
+process pool, and always joins results in the same deterministic order:
+two invocations with the same arguments serialize to byte-identical
+reports regardless of the worker count.
 
 Identities share their sums through the package memo (exactnum.memoized):
 sweep and run_check open a memo scope around their evaluations, and the
@@ -36,6 +37,7 @@ import os
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple
 
@@ -510,9 +512,10 @@ def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[Point]:
                         yield (n, l, t, m)
 
 
-def _eval_task(task: tuple[str, Point]) -> CheckResult:
-    name, point = task
-    return _evaluate(REGISTRY[name], point)
+def _sweep_identity(name: str, grid: GridBounds) -> list[CheckResult]:
+    # one identity's results in key order: the unit of work of a sweep
+    spec = REGISTRY[name]
+    return [_evaluate(spec, p) for p in _iter_points(spec, grid)]
 
 
 def _open_worker_scope() -> None:
@@ -537,9 +540,10 @@ class Report:
 def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     """Exhaustively evaluate each named identity over its domain in the grid.
 
-    The task list is enumerated in sorted identity order with lexicographic
-    points, and both the serial loop and the pool's map return results in
-    task order, so the report content does not depend on jobs.
+    One identity, its points in lexicographic order, is the unit of work of
+    the serial loop and of the pool's map; both keep sorted name order, so
+    the report content does not depend on jobs. The pool starts no more
+    workers than identities or CPUs: a one-identity sweep runs in process.
 
     The serial loop runs in one memo scope, and each pool worker holds one
     for its life, so identities that share a sum evaluate it once per
@@ -551,32 +555,28 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
         raise TypeError(f"names must be a collection of identity names, "
                         f"not the str {names!r}")
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        # the pool pulls in multiprocessing, socket and pickle: a serial
-        # sweep and the CLI's cold start do not pay for them
-        from concurrent.futures import ProcessPoolExecutor
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     selected = sorted(set(names))
     for name in selected:
         get_identity(name)
     started = time.perf_counter()
-    tasks = [(name, point)
-             for name in selected
-             for point in _iter_points(REGISTRY[name], grid)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(selected), os.cpu_count() or 1)
     if workers <= 1:
         with memo_scope:
-            results = [_eval_task(task) for task in tasks]
+            batches = [_sweep_identity(name, grid) for name in selected]
     else:
+        # the pool pulls in multiprocessing, socket and pickle: a serial
+        # sweep and the CLI's cold start do not pay for them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_open_worker_scope) as pool:
-            chunk = max(1, len(tasks) // (8 * workers))
-            results = list(pool.map(_eval_task, tasks, chunksize=chunk))
+            batches = list(pool.map(_sweep_identity, selected, repeat(grid)))
+    results = tuple(chain.from_iterable(batches))
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for r in results:
         counts[r.status] += 1
     return Report(
-        results=tuple(results),
+        results=results,
         identities=tuple(selected),
         grid=grid,
         passed=counts["pass"],

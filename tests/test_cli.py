@@ -142,6 +142,16 @@ def test_sweep_output_file_matches_stdout(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == streamed
 
 
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_cli(capsys, "sweep", "--id", "thm1", "--n-max", "1",
+                             "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "No such file or directory" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_jobs_do_not_change_bytes(capsys):
     argv = ("sweep", "--id", "thm3", "--id", "eq18", "--n-max", "5",
             "--l-max", "2")

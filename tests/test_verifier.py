@@ -182,16 +182,19 @@ def test_sweep_parallel_is_byte_identical():
     assert to_csv(solo) == to_csv(pooled)
 
 
-@pytest.mark.parametrize("cpus, pool_sizes", [(4, [4, 2]), (None, [])])
-def test_sweep_caps_workers_at_cpus_and_tasks(monkeypatch, cpus, pool_sizes):
-    sizes = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor; returns what the pools were given.
+
+    Each pool records its size and the first iterable of each map, runs
+    the worker initializer and maps in process.
+    """
+    seen = {"sizes": [], "mapped": []}
 
     class SerialPool:
-        # stands in for ProcessPoolExecutor: records its size, runs the
-        # worker initializer and maps in process
         def __init__(self, max_workers, initializer=None):
             assert initializer is not None
-            sizes.append(max_workers)
+            seen["sizes"].append(max_workers)
             self.initializer = initializer
 
         def __enter__(self):
@@ -204,17 +207,40 @@ def test_sweep_caps_workers_at_cpus_and_tasks(monkeypatch, cpus, pool_sizes):
             memo_scope.__exit__(*exc)
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def map(self, fn, *iterables, chunksize=1):
+            assert chunksize == 1
+            first = list(iterables[0])
+            seen["mapped"].append(first)
+            return map(fn, first, *iterables[1:])
 
-    # sweep imports the pool class from its module only when jobs > 1
+    # sweep imports the pool class from its module only when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return seen
+
+
+# a task is one identity, so the cap is the identity count or the CPUs
+@pytest.mark.parametrize("cpus, pool_sizes", [(4, [3]), (None, []), (2, [2])])
+def test_sweep_caps_workers_at_cpus_and_tasks(monkeypatch, serial_pool,
+                                              cpus, pool_sizes):
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
     grid = GridBounds(n_max=3, l_max=2)
-    pooled = sweep(["thm1", "eq18"], grid, jobs=10**6)
-    assert to_jsonl(pooled) == to_jsonl(sweep(["thm1", "eq18"], grid, jobs=1))
-    sweep(["thm1"], GridBounds(n_max=0, l_max=1), jobs=10**6)  # two tasks
-    assert sizes == pool_sizes
+    names = ["thm1", "eq18", "eq33"]
+    pooled = sweep(names, grid, jobs=10**6)
+    assert to_jsonl(pooled) == to_jsonl(sweep(names, grid, jobs=1))
+    sweep(["thm1"], GridBounds(n_max=0, l_max=1), jobs=10**6)  # one identity
+    assert serial_pool["sizes"] == pool_sizes
+
+
+def test_parallel_sweep_maps_each_identity_once_in_name_order(monkeypatch,
+                                                              serial_pool):
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    grid = GridBounds(n_max=4, l_max=2)
+    sweep(["thm3", "eq18", "thm1", "eq18"], grid, jobs=2)
+    assert serial_pool["mapped"] == [["eq18", "thm1", "thm3"]]
+    # one identity is one unit of work: it runs here, with no pool
+    solo = sweep(["eq13"], grid, jobs=2)
+    assert serial_pool["sizes"] == [2]
+    assert to_jsonl(solo) == to_jsonl(sweep(["eq13"], grid, jobs=1))
 
 
 def test_sweep_bytes_are_the_same_under_every_start_method():
@@ -253,7 +279,8 @@ def test_cold_start_does_not_load_the_process_pool():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_results_come_in_key_order(jobs):
-    # sweep does not sort: tasks are enumerated in key order and kept in it
+    # sweep does not sort: identities go in name order, each with its
+    # points in key order, and the batches are joined in that order
     names = ["thm3", "parity", "eq13", "thm1", "eq18"]
     report = sweep(names, GridBounds(n_max=5, l_max=2), jobs=jobs)
     keys = [(r.identity, *(-1 if x is None else x for x in (r.n, r.l, r.t, r.m)))
