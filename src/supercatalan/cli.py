@@ -14,6 +14,7 @@ values are exact; rationals appear as p/q.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from functools import partial
@@ -137,8 +138,29 @@ def _given_bounds(args: argparse.Namespace) -> dict[str, int]:
             if getattr(args, name) is not None}
 
 
+def _cannot_write(path: str, exc: OSError) -> _UsageError:
+    return _UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _probe_output(path: str) -> None:
+    """Fail before the sweep if path cannot be opened for writing.
+
+    Mode "a" truncates nothing, and a file the probe created is removed at
+    once, so a sweep that then fails leaves the path as it found it.
+    """
+    created = not os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    if created:
+        os.remove(path)
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     ids = _selected_ids(args)
+    if args.output:
+        _probe_output(args.output)
     try:
         # sweep and GridBounds validate the selection, jobs and bounds
         report = verifier.sweep(ids, verifier.GridBounds(**_given_bounds(args)),
@@ -156,8 +178,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.output}: "
-                              f"{exc.strerror or exc}") from exc
+            raise _cannot_write(args.output, exc) from exc
     else:
         sys.stdout.write(text)
     return 1 if report.failed else 0

@@ -11,18 +11,20 @@ weights carry a 1/(k+l+1)-style factor return Fraction, everything else
 returns int. The unweighted sums vanish whenever the length n is odd; the
 weighted ones in general do not.
 
-All seven run on one kernel. The summand is hypergeometric in k: with
-M = n - 2t and j = k - t,
+All seven run on one integer kernel. With M = n - 2t, j = k - t and the
+second S indices shifted by a, b in {0, 1}, the walk over k = t, ..., n-t
 
-    term(k+1) = -term(k) ((M-j)/(j+1))^m (2k+1)(n-k+l) / ((k+l+1)(2n-2k-1))
+    term(k)   = (-1)^k binomial(M, j)^m S(k, l+a) S(n-k, l+b)
+    term(k+1) = -term(k) ((M-j)/(j+1))^m (2k+1)(n-k+l+b) / ((k+l+a+1)(2n-2k-1))
 
-so only the first term takes S values. Every later one costs a few
+takes S values for the first term only. Every later one costs a few
 small-integer products and one exact division; an inexact step raises
 InexactDivisionError. A weighted sum multiplies term k by an integer
-weight(k). A rational one also divides by den(k): with L the lcm of all
-den(k) over the window, the walk carries the integer term(k) L/den(k) (its
-step ratio gains the factor den(k)/den(k+1)), adds the weighted numerators
-and builds one Fraction over L at the end.
+weight(k). The rational weights are index shifts: S(k, l+1) =
+2(2l+1) S(k, l) / (k+l+1), so each rational sum is one integer walk over a
+constant, 2 with a = 1 (r_sum, t_sum) or 4(2l+1) with a = b = 1
+(r_prime_sum, r_dprime_sum). r_prime_sum at l thus walks the terms of
+psi_t at l+1, but on its own walk, not by calling psi_t.
 
 Six of the seven are memoized (exactnum.memoized): inside a sweep or a
 run_check, identities that evaluate the same sum at the same arguments
@@ -34,7 +36,6 @@ asks for the same value twice.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import mul
 
@@ -45,32 +46,31 @@ __all__ = ["psi", "psi_t", "p_sum", "r_sum", "r_prime_sum", "r_dprime_sum",
            "t_sum"]
 
 
-def _terms(n: int, t: int, l: int, m: int, dens: list[int], common: int):
-    """Yield term(k) common/dens[k-t] for k = t, ..., n-t, one exact division a step."""
-    term = (-1) ** t * super_catalan(t, l) * super_catalan(n - t, l) * (common // dens[0])
+def _terms(n: int, t: int, l: int, m: int, a: int, b: int):
+    """Yield term(k) for k = t, ..., n-t, one exact division a step."""
+    term = (-1) ** t * super_catalan(t, l + a) * super_catalan(n - t, l + b)
     yield term
     for k in range(t, n - t):
         j = k - t
-        num = (n - t - k) ** m * (2 * k + 1) * (n - k + l) * dens[j]
-        den = (j + 1) ** m * (k + l + 1) * (2 * n - 2 * k - 1) * dens[j + 1]
+        num = (n - t - k) ** m * (2 * k + 1) * (n - k + l + b)
+        den = (j + 1) ** m * (k + l + a + 1) * (2 * n - 2 * k - 1)
         term = exact_div(term * -num, den)
         yield term
 
 
-def _windowed(n: int, t: int, l: int, weight=None, den=None, m: int = 1):
-    """sum over the window of weight(k) term(k), divided by den(k) if given."""
+def _windowed(n: int, t: int, l: int, weight=None, m: int = 1, a: int = 0,
+              b: int = 0) -> int:
+    """sum over the window of weight(k) term(k)."""
     if l < 0:
         raise ValueError(f"second super Catalan index must be non-negative, got {l}")
     if n < 0:
         raise ValueError(f"sum length must be non-negative, got {n}")
     if t < 0 or 2 * t > n:
         raise ValueError(f"window offset requires 0 <= 2t <= n, got t={t}, n={n}")
-    window = range(t, n - t + 1)
-    dens = [1] * len(window) if den is None else list(map(den, window))
-    common = math.lcm(*dens)
-    terms = _terms(n, t, l, m, dens, common)
-    total = sum(terms) if weight is None else sum(map(mul, map(weight, window), terms))
-    return total if den is None else Fraction(total, common)
+    terms = _terms(n, t, l, m, a, b)
+    if weight is None:
+        return sum(terms)
+    return sum(map(mul, map(weight, range(t, n - t + 1)), terms))
 
 
 @memoized
@@ -98,24 +98,21 @@ def p_sum(n: int, t: int, l: int) -> int:
 @memoized
 def r_sum(n: int, t: int, l: int) -> Fraction:
     """psi_t with the weight (2l+1)/(k+l+1). Exact rational."""
-    return _windowed(n, t, l, lambda k: 2 * l + 1, lambda k: k + l + 1)
+    return Fraction(_windowed(n, t, l, a=1), 2)
 
 
 @memoized
 def r_prime_sum(n: int, t: int, l: int) -> Fraction:
     """psi_t with the symmetric weight (2l+1)/((k+l+1)(n-k+l+1))."""
-    return _windowed(n, t, l, lambda k: 2 * l + 1,
-                     lambda k: (k + l + 1) * (n - k + l + 1))
+    return Fraction(_windowed(n, t, l, a=1, b=1), 4 * (2 * l + 1))
 
 
 def r_dprime_sum(n: int, t: int, l: int) -> Fraction:
     """r_prime_sum with the extra weight (n - k) on each term."""
-    return _windowed(n, t, l, lambda k: (2 * l + 1) * (n - k),
-                     lambda k: (k + l + 1) * (n - k + l + 1))
+    return Fraction(_windowed(n, t, l, lambda k: n - k, a=1, b=1), 4 * (2 * l + 1))
 
 
 @memoized
 def t_sum(n: int, t: int, l: int) -> Fraction:
     """psi_t with the combined weight (n-t-k)(2l+1)/(k+l+1)."""
-    return _windowed(n, t, l, lambda k: (n - t - k) * (2 * l + 1),
-                     lambda k: k + l + 1)
+    return Fraction(_windowed(n, t, l, lambda k: n - t - k, a=1), 2)

@@ -152,6 +152,29 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_unwritable_output_fails_before_the_sweep(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(verifier, "sweep", lambda *a, **kw: calls.append(a))
+    path = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_cli(capsys, "sweep", "--all", "--n-max", "20",
+                             "--output", str(path))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_failed_sweep_leaves_output_path_as_it_was(capsys, tmp_path):
+    kept = tmp_path / "kept.jsonl"
+    kept.write_bytes(b"earlier report\n")
+    absent = tmp_path / "absent.jsonl"
+    for path in (kept, absent):
+        code, out, err = run_cli(capsys, "sweep", "--id", "thm1", "--n-max", "1",
+                                 "--jobs", "0", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert "at least 1" in err
+    assert kept.read_bytes() == b"earlier report\n"
+    assert not absent.exists()
+
+
 def test_sweep_jobs_do_not_change_bytes(capsys):
     argv = ("sweep", "--id", "thm3", "--id", "eq18", "--n-max", "5",
             "--l-max", "2")

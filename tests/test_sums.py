@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supercatalan import sums
+from supercatalan.exactnum import InexactDivisionError
 from supercatalan.sums import (
     p_sum,
     psi,
@@ -123,6 +124,40 @@ def test_each_sum_takes_at_most_two_s_values(monkeypatch):
             calls.clear()
             f(n, n // 4, 2)
             assert len(calls) <= 2, f.__name__
+
+
+def _shifted(n, t, l, weight, b):
+    # the window sum with S(k, l+1) S(n-k, l+b) in place of S(k, l) S(n-k, l)
+    return sum((-1) ** k * weight(k) * _oracle.binom(n - 2 * t, k - t)
+               * _oracle.S(k, l + 1) * _oracle.S(n - k, l + b)
+               for k in range(t, n - t + 1))
+
+
+def test_rational_sums_are_shifted_integer_sums_over_constants(memo_oracle):
+    # S(k, l+1) = 2(2l+1) S(k, l)/(k+l+1) turns each rational weight into a
+    # shift of the second S index, leaving a constant denominator
+    for n in range(31):
+        for l in range(6):
+            c = 4 * (2 * l + 1)
+            for t in range(n // 2 + 1):
+                for scale, f, weight, b in (
+                        (2, r_sum, lambda k: 1, 0),
+                        (2, t_sum, lambda k: n - t - k, 0),
+                        (c, r_prime_sum, lambda k: 1, 1),
+                        (c, r_dprime_sum, lambda k: n - k, 1)):
+                    scaled = scale * f(n, t, l)
+                    assert scaled.denominator == 1, (f.__name__, n, t, l)
+                    assert scaled == _shifted(n, t, l, weight, b), (f.__name__, n, t, l)
+
+
+def test_every_sum_rejects_a_drifted_seed(monkeypatch):
+    # one S value off by one breaks the exact term ratio of every walk
+    monkeypatch.setattr(sums, "super_catalan", lambda n, l: super_catalan(n, l) + 1)
+    with pytest.raises(InexactDivisionError):
+        psi(12, 2, 3)
+    for f in (*INT_SUMS.values(), *RATIONAL_SUMS.values()):
+        with pytest.raises(InexactDivisionError):
+            f(12, 2, 3)
 
 
 def test_odd_length_vanishing():
