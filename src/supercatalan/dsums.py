@@ -27,14 +27,16 @@ validated against.
 d_sum_direct and the witness rows read rows: _pascal(N) holds binomial(N, k)
 for k = 0..N and _summands(f, n, l) holds f(n, k, l) for k = 0..n. Each of
 their sums is one sum(map(mul, ...)) over slices of those rows, so its loop
-runs in C, and the direct sums of one (n, l) evaluate f only n + 1 times,
-whatever j and t they take.
+runs in C, and inside a memo scope the direct sums of one (n, l) evaluate f
+only n + 1 times, whatever j and t they take. A lone d_sum_direct, with no
+scope open, evaluates f and binomial(n, k) on its window only.
 
 No other inner sum takes a binomial per term either. a_t reads its
 binomials from a Pascal row, and q_scaled reads binomial(n-s, v) from one.
-The inner sum of _base_expanded and the central binomials of q_scaled walk
-instead: each factor is taken once, for the first term, and then stepped
-by its exact ratio, one small-integer product and one quotient a term:
+The inner sum of _base_expanded and the central binomials of q_scaled and
+of the level-1 witness vector walk instead: each factor is taken once, for
+the first term, and then stepped by its exact ratio, one small-integer
+product and one quotient a term:
 
     binomial(N, k+1)    = binomial(N, k) (N-k) / (k+1)
     binomial(2w+2, w+1) = binomial(2w, w) 2(2w+1) / (w+1)
@@ -52,16 +54,27 @@ the cross-checks between them stay independent.
 A witness row holds D(2n, j, level) / S(n, l) for j = 0..n. It weights a
 vector w once, and its entry j is sum_k binomial(2n-j, k-j) w[k], one dot
 product of a Pascal row with a slice of w. At level 1,
-w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), so one row takes n + 1
-q_scaled values and holds every level-1 cofactor of its (n, l); above it,
+w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), and the row holds every
+level-1 cofactor of its (n, l). It does not call q_scaled: with
+x[u] = (-1)^u binomial(2u, u) S(n, n+l-u) for u = 0..n,
+
+    (-1)^k q_scaled(n, k, l) = sum_{u=k}^{n} binomial(n-k, u-k) x[u],
+
+one dot product of a Pascal row with a slice of x. So eq104, which reads
+q_scaled(n, 0, l), reaches q by other code than the row. Above level 1,
 w[k] = binomial(2n, k) below[k].
 
-The Pascal and summand rows, q_scaled and the witness rows are memoized
-(exactnum.memoized) while a memo scope is open: a sweep, a run_check,
-psi_quotient_witness, which opens one for its lift, or d_sum_step, which
-opens one so that its inner direct sums share their rows. The D values
-themselves are not: a sweep rarely asks for one twice, so a table of them
-would only hold memory.
+The Pascal and summand rows, q_scaled and the level-1 witness rows are
+memoized (exactnum.memoized) while a memo scope is open: a sweep, a
+run_check, psi_quotient_witness, which opens one for its lift, or
+d_sum_step, which opens one so that its inner direct sums share their
+rows. Above level 1 the memo holds one row: the highest level reached for
+the (n, l) lifted last. A lift starts from it if it has the same (n, l)
+and is not above the target, and from the level-1 row otherwise; the rows
+in between are locals. A sweep that climbs m at each (n, l) thus lifts
+one level a point, and a lift to level 3000 holds a few rows, not 3000.
+The D values themselves are not memoized: a sweep rarely asks for one
+twice, so a table of them would only hold memory.
 """
 
 from __future__ import annotations
@@ -136,12 +149,17 @@ def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j)
     if t < 0:
         raise ValueError(f"level must be non-negative, got {t}")
-    # k = j+u runs over the window [j, n-j]; binomial(n-j, u),
-    # binomial(n-j, k), f(n, k, l) and binomial(n, k)^t are slices of rows
+    # k = j+u runs over the window [j, n-j]; binomial(n-j, u) and
+    # binomial(n-j, k) are slices of one Pascal row
     inner, window = _pascal(n - j), slice(j, n - j + 1)
-    terms = map(mul, map(mul, inner, inner[window]), _summands(f, n, l)[window])
+    if memo_scope.active:  # rows that every j and t of (n, l) share
+        values = _summands(f, n, l)[window]
+        c = _pascal(n)[window] if t else ()
+    else:  # a lone call takes f and binomial(n, k) on its window only
+        ks = range(j, n - j + 1)
+        values, c = map(f, repeat(n), ks, repeat(l)), map(comb, repeat(n), ks)
+    terms = map(mul, map(mul, inner, inner[window]), values)
     if t:
-        c = _pascal(n)[window]
         terms = map(mul, terms, c if t == 1 else map(pow, c, repeat(t)))
     return sum(terms)
 
@@ -277,7 +295,7 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     """
     if n < 0 or l < 0 or not 0 <= j <= n:
         raise ValueError(f"requires n, l >= 0 and 0 <= j <= n, got n={n}, j={j}, l={l}")
-    signed = _witness_row(n, l, 1)[j]
+    signed = _level1_row(n, l)[j]
     cofactor = -signed if j & 1 else signed
     value = super_catalan(n, l) * signed
     direct = d_sum_direct(psi_summand, 2 * n, j, 1, l)
@@ -288,16 +306,51 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     return direct, cofactor
 
 
-@memoized
-def _witness_row(n: int, l: int, level: int) -> tuple[int, ...]:
-    # Quotients D(2n, j, level) / S(n, l) for j = 0..n: the level-1 cofactors,
-    # signs included, pushed up through the level recurrence.
-    if level == 1:
-        w = [(-b if k & 1 else b) * q_scaled(n, k, l) for k, b in enumerate(_pascal(n))]
-    else:
-        w = list(map(mul, _pascal(2 * n), _witness_row(n, l, level - 1)))
+def _weigh(n: int, w: list[int]) -> tuple[int, ...]:
     # entry j is sum_{k=j}^{n} binomial(2n-j, k-j) w[k]
     return tuple(sum(map(mul, _pascal(2 * n - j), w[j:])) for j in range(n + 1))
+
+
+@memoized
+def _level1_row(n: int, l: int) -> tuple[int, ...]:
+    # x[u] = (-1)^u binomial(2u, u) S(n, n+l-u), the central binomial walked;
+    # then (-1)^k q_scaled(n, k, l) = sum_u binomial(n-k, u-k) x[u]
+    x, c = [], 1
+    for u in range(n + 1):
+        v = c * super_catalan(n, n + l - u)
+        x.append(-v if u & 1 else v)
+        c = c * 2 * (2 * u + 1) // (u + 1)
+    return _weigh(n, [b * sum(map(mul, _pascal(n - k), x[k:]))
+                      for k, b in enumerate(_pascal(n))])
+
+
+@memoized
+def _lifted() -> list:
+    # [((n, l), level, row)]: the row above level 1 lifted last. Memoized on
+    # no arguments, so an open scope holds one slot and a bare call gets a
+    # fresh one, which goes with it. Threads that share a scope may overwrite
+    # each other's row; each still returns its own
+    return [(None, 0, ())]
+
+
+def _witness_row(n: int, l: int, level: int) -> tuple[int, ...]:
+    # Quotients D(2n, j, level) / S(n, l) for j = 0..n: the level-1 cofactors,
+    # signs included, pushed up through the level recurrence. A lift starts
+    # from the held row of (n, l) if that is not above the target, and keeps
+    # the highest row reached; the rows in between stay local.
+    if level == 1:
+        return _level1_row(n, l)
+    slot = _lifted()
+    key, top, row = slot[0]
+    keep = key != (n, l) or top < level  # the slot takes the row reached
+    if key != (n, l) or top > level:
+        top, row = 1, _level1_row(n, l)
+    wide = _pascal(2 * n)
+    for _ in range(top, level):
+        row = _weigh(n, list(map(mul, wide, row)))
+    if keep:
+        slot[0] = ((n, l), level, row)
+    return row
 
 
 def psi_quotient_witness(n: int, m: int, l: int) -> int:
@@ -315,11 +368,9 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
         return super_catalan(n + l, n)
     if m == 2:
         return q_scaled(n, 0, l)
-    # lift one level at a time, so each row finds the one below it memoized;
-    # the rows go when the outermost scope closes
+    # the lift shares its Pascal rows; they and the row it reached go when
+    # the outermost scope closes
     with memo_scope:
-        for level in range(1, m - 2):
-            _witness_row(n, l, level)
         return _witness_row(n, l, m - 2)[0]
 
 

@@ -370,3 +370,60 @@ def test_d_psi_level1_returns_the_direct_value(monkeypatch):
     value, _ = d_psi_level1(6, 1, 3)
     assert abs(value) > 256  # beyond the small ints Python shares
     assert value is made[-1]
+
+
+def test_bare_direct_sum_calls_the_summand_on_its_window_only():
+    calls = Counter()
+
+    def counted(n, k, l):
+        calls[k] += 1
+        return psi_summand(n, k, l)
+
+    value = d_sum_direct(counted, 80, 30, 1, 3)
+    assert value == d_sum_direct(psi_summand, 80, 30, 1, 3)
+    assert sum(calls.values()) <= 80 - 2 * 30 + 1
+    assert set(calls) == set(range(30, 51))
+
+
+def test_level1_row_weighs_the_q_scaled_vector():
+    # the row is a unitriangular transform of w, so equal rows mean equal w:
+    # w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l)
+    with memo_scope:
+        for n in range(31):
+            for l in range(6):
+                w = [(-1) ** k * _oracle.binom(n, k) * q_scaled(n, k, l)
+                     for k in range(n + 1)]
+                want = tuple(sum(_oracle.binom(2 * n - j, k - j) * w[k]
+                                 for k in range(j, n + 1)) for j in range(n + 1))
+                assert dsums._level1_row(n, l) == want
+
+
+@pytest.mark.parametrize("scope", [nullcontext, lambda: memo_scope], ids=["bare", "scoped"])
+def test_level1_row_entries_are_the_oracle_quotients(memo_oracle, scope):
+    n, l = 60, 3
+    with scope():
+        row = dsums._witness_row(n, l, 1)
+    assert len(row) == n + 1
+    for j, entry in enumerate(row):
+        quotient, remainder = divmod(_oracle.d_direct(_oracle.F_psi, 2 * n, j, 1, l),
+                                     _oracle.S(n, l))
+        assert remainder == 0
+        assert entry == quotient
+
+
+def test_a_lift_starts_from_the_held_row_and_keeps_the_highest(monkeypatch):
+    n, l = 5, 2
+    bare = {level: dsums._witness_row(n, l, level) for level in range(1, 7)}
+    weighed = []
+    weigh = dsums._weigh
+    monkeypatch.setattr(dsums, "_weigh", lambda n, w: weighed.append(n) or weigh(n, w))
+    with memo_scope:
+        assert dsums._witness_row(n, l, 4) == bare[4]
+        assert dsums._witness_row(n, l, 6) == bare[6]
+        assert dsums._witness_row(n, l, 3) == bare[3]  # from level 1
+        assert dsums._witness_row(n, l, 6) == bare[6]  # the held row
+        # one weighing makes the level-1 row, then 3 + 2 + 2 lifts
+        assert len(weighed) == 1 + 3 + 2 + 2
+        assert dsums._lifted() == [((n, l), 6, bare[6])]
+        dsums._witness_row(n + 1, l, 2)  # another (n, l) takes the slot
+        assert dsums._lifted()[0][:2] == ((n + 1, l), 2)

@@ -476,6 +476,42 @@ def test_memo_is_empty_after_every_scope_closes():
     assert proc.stdout.splitlines() == ["0 True", "pass  True", "0 True", "0 True"]
 
 
+def test_cold_deep_witness_peaks_below_one_megabyte():
+    # a fresh interpreter, so the lift starts cold: it keeps one row in
+    # locals, not one row per level
+    code = ("import tracemalloc\n"
+            "from supercatalan.verifier import run_check\n"
+            "tracemalloc.start()\n"
+            "r = run_check('thm3', n=3, l=1, m=3000)\n"
+            "print(r.status, tracemalloc.get_traced_memory()[1] < 10 ** 6)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "pass True\n"
+
+
+def _rows_in(value):
+    # every tuple held in a memo value, nested ones included
+    if isinstance(value, (tuple, list)):
+        if isinstance(value, tuple):
+            yield value
+        for item in value:
+            yield from _rows_in(item)
+
+
+def test_a_thm3_sweep_keeps_one_lifted_row():
+    grid = GridBounds(n_max=6, l_max=3, m_max=8)
+    # rows above level 1 for n >= 2, where no Pascal or level-1 row equals one
+    lifted = {dsums._witness_row(n, l, level)
+              for n in range(2, 7) for l in range(4) for level in range(2, 7)}
+    with memo_scope:
+        verifier._sweep_identity("thm3", grid)
+        held = [row for table in exactnum._tables for value in table.values()
+                for row in _rows_in(value) if row in lifted]
+        assert len(held) <= 1
+        assert dsums.q_scaled.cache_info().currsize <= 7 * 4  # one per (n, l)
+
+
 def test_run_check_evaluates_inside_a_memo_scope(monkeypatch):
     depths = []
     psi_t = sums.psi_t
@@ -522,6 +558,28 @@ def test_vonszily_rows_fail_when_the_factorial_route_drifts(monkeypatch):
     assert {r.status for r in report.results} == {"fail"}
     monkeypatch.setattr(supercat, "super_catalan_factorial", factorial)
     assert sweep(["vonszily"], GridBounds(n_max=4, l_max=3)).failed == 0
+
+
+def test_witness_rows_fail_when_the_level1_route_drifts(monkeypatch):
+    # entry 0 of every level-1 row off by one: the lift carries it to entry 0
+    # of every level, while eq104 reaches q_scaled by its own walk
+    level1 = dsums._level1_row
+    monkeypatch.setattr(dsums, "_level1_row",
+                        lambda n, l: (level1(n, l)[0] + 1,) + level1(n, l)[1:])
+    result = run_check("dlevel1", n=3, l=2, t=0)
+    assert result.status == "fail"
+    assert result.reason.startswith("IntegrityError: closed level-1 form disagrees "
+                                    "at n=3, j=0, l=2")
+    names = ["dlevel1", "eq104", "thm3"]
+    grid = GridBounds(n_max=4, l_max=2, m_max=5)
+    report = sweep(names, grid)
+    for r in report.results:
+        drifted = (r.identity, r.t) == ("dlevel1", 0) or r.identity == "thm3" and r.m >= 3
+        assert r.status == ("fail" if drifted else "pass"), r
+    # j = 0, and m = 3..5, at each of the 15 (n, l)
+    assert report.failed == 15 + 15 * 3
+    monkeypatch.setattr(dsums, "_level1_row", level1)
+    assert sweep(names, grid).failed == 0
 
 
 def _drift_unit_summand_at_j1(monkeypatch, name):
