@@ -18,11 +18,13 @@ m >= 2), and the constant unit_summand for engine self-tests.
 
 For psi_summand the level-0 and level-1 layers of D(2n, j, t) admit closed
 forms that factor S(n, l) out in front: d_psi_base_closed carries a rational
-cofactor, d_psi_level1 an integer one built from q_scaled. Propagating the
-integer cofactors upward through the level recurrence gives a constructive
-quotient psi(2n, m, l) / S(n, l) that never performs the division; that is
-what psi_quotient_witness returns and what psi_divisibility_check is
-validated against.
+cofactor, d_psi_level1 an integer one read from the level-1 witness row,
+which _level1_row builds from one vector x[u] = (-1)^u binomial(2u, u)
+S(n, n+l-u) and no q_scaled call. Propagating the integer cofactors
+upward through the level recurrence gives a constructive quotient
+psi(2n, m, l) / S(n, l) that never performs the division; that is what
+psi_quotient_witness returns and what psi_divisibility_check is validated
+against.
 
 d_sum_direct and the witness rows read rows: _pascal(N) holds binomial(N, k)
 for k = 0..N and _summands(f, n, l) holds f(n, k, l) for k = 0..n. Each of

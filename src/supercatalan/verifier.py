@@ -12,6 +12,15 @@ process pool, and always joins results in the same deterministic order:
 two invocations with the same arguments serialize to byte-identical
 reports regardless of the worker count.
 
+sweep resolves each name once, in the calling process, and hands a pool
+the IdentitySpec itself, which pickles its check and domain by reference.
+So a runtime identity's check and domain must be module-level functions
+that a worker can import. A jobs > 1 sweep of a spec that does not pickle
+(a lambda or a closure, say) raises ValueError before any worker starts. A
+function defined under `if __name__ == "__main__":` pickles in the parent,
+but a worker started by spawn or forkserver re-imports the main module
+without running that block, cannot find it, and the pool breaks.
+
 Identities share their sums through the package memo (exactnum.memoized):
 sweep and run_check open a memo scope around their evaluations, and the
 memo is emptied when they return. Its keys are the function and its
@@ -161,11 +170,44 @@ def get_identity(name: str) -> IdentitySpec:
         raise ValueError(f"unknown identity {name!r}") from None
 
 
-_any = lambda n, l, t, m: True
-_t_le_n = lambda n, l, t, m: t <= n
-_t_lt_n = lambda n, l, t, m: t < n
-_2t_le_n = lambda n, l, t, m: 2 * t <= n
-_l_ge_1 = lambda n, l, t, m: l >= 1
+# Domains are module-level functions, like the checks, so that a spec
+# pickles by reference and a pool worker imports what it calls.
+
+
+def _any(n, l, t, m):
+    return True
+
+
+def _t_le_n(n, l, t, m):
+    return t <= n
+
+
+def _t_lt_n(n, l, t, m):
+    return t < n
+
+
+def _2t_le_n(n, l, t, m):
+    return 2 * t <= n
+
+
+def _2t_lt_n(n, l, t, m):
+    return 2 * t < n
+
+
+def _l_ge_1(n, l, t, m):
+    return l >= 1
+
+
+def _m_ge_2(n, l, t, m):
+    return m >= 2
+
+
+def _t_from_1_to_3(n, l, t, m):
+    return 1 <= t <= 3
+
+
+def _at_4_2_1(n, l, t, m):
+    return (n, l, m) == (4, 2, 1)
 
 
 def _identity(params, description, domain=_any, relation="equal"):
@@ -284,7 +326,7 @@ def _check_eq33(n, l, t, m):
 
 
 @_identity(("n", "l", "t"), "p_sum at any length n from psi_t and r_sum at length n-1",
-           lambda n, l, t, m: 2 * t < n)
+           _2t_lt_n)
 def _check_eq47(n, l, t, m):
     rhs = (4 * (n - 2 * t) * sums.psi_t(n - 1, t, l)
            + (-1) ** n * 2 * (n - 2 * t) * sums.r_sum(n - 1, t, l))
@@ -352,7 +394,7 @@ def _check_eq64phi(n, l, t, m):
 
 @_identity(("n", "l", "m"),
            "psi(n,m,l) = level engine at j=0, level m-2 (any length parity)",
-           lambda n, l, t, m: m >= 2)
+           _m_ge_2)
 def _check_eq12(n, l, t, m):
     return sums.psi(n, m, l), dsums.d_sum_direct(dsums.psi_summand, n, 0, m - 2, l)
 
@@ -373,7 +415,7 @@ def _first_mismatch(pairs):
 
 @_identity(("n", "l", "t"),
            "level recurrence equals direct evaluation at level t, all window "
-           "offsets, both summands", lambda n, l, t, m: 1 <= t <= 3)
+           "offsets, both summands", _t_from_1_to_3)
 def _check_eq13(n, l, t, m):
     return _first_mismatch(
         (dsums.d_sum_step(f, n, j, t, l), dsums.d_sum_direct(f, n, j, t, l))
@@ -429,7 +471,7 @@ def _check_remark3(n, l, t, m):
 @_identity(("n", "l", "m"),
            "counterexample: binomial(2n,n) does not divide psi(2n,m,l) at "
            "n=4, m=1, l=2 (the recorded lhs is the nonzero remainder)",
-           lambda n, l, t, m: (n, l, m) == (4, 2, 1), "remainder-nonzero")
+           _at_4_2_1, "remainder-nonzero")
 def _check_remark4(n, l, t, m):
     return sums.psi(2 * n, m, l) % central_binomial(n), 0
 
@@ -512,9 +554,8 @@ def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[Point]:
                         yield (n, l, t, m)
 
 
-def _sweep_identity(name: str, grid: GridBounds) -> list[CheckResult]:
+def _sweep_identity(spec: IdentitySpec, grid: GridBounds) -> list[CheckResult]:
     # one identity's results in key order: the unit of work of a sweep
-    spec = REGISTRY[name]
     return [_evaluate(spec, p) for p in _iter_points(spec, grid)]
 
 
@@ -544,6 +585,8 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     the serial loop and of the pool's map; both keep sorted name order, so
     the report content does not depend on jobs. The pool starts no more
     workers than identities or CPUs: a one-identity sweep runs in process.
+    Each name is resolved once, here, and the pool maps the specs; with
+    jobs > 1, a spec that does not pickle raises ValueError first.
 
     The serial loop runs in one memo scope, and each pool worker holds one
     for its life, so identities that share a sum evaluate it once per
@@ -556,28 +599,37 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
                         f"not the str {names!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    selected = sorted(set(names))
-    for name in selected:
-        get_identity(name)
+    specs = [get_identity(name) for name in sorted(set(names))]
+    if jobs > 1:
+        # a worker gets each spec by pickle, its functions by reference;
+        # checked for jobs > 1, not per pool, so the CPU count cannot decide
+        # whether a sweep raises
+        import pickle
+        for spec in specs:
+            try:
+                pickle.dumps(spec)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise ValueError(f"identity {spec.name!r} cannot be sent to a "
+                                 f"worker process: {exc}") from exc
     started = time.perf_counter()
-    workers = min(jobs, len(selected), os.cpu_count() or 1)
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
     if workers <= 1:
         with memo_scope:
-            batches = [_sweep_identity(name, grid) for name in selected]
+            batches = [_sweep_identity(spec, grid) for spec in specs]
     else:
         # the pool pulls in multiprocessing, socket and pickle: a serial
         # sweep and the CLI's cold start do not pay for them
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_open_worker_scope) as pool:
-            batches = list(pool.map(_sweep_identity, selected, repeat(grid)))
+            batches = list(pool.map(_sweep_identity, specs, repeat(grid)))
     results = tuple(chain.from_iterable(batches))
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for r in results:
         counts[r.status] += 1
     return Report(
         results=results,
-        identities=tuple(selected),
+        identities=tuple(spec.name for spec in specs),
         grid=grid,
         passed=counts["pass"],
         failed=counts["fail"],

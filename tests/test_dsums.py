@@ -315,12 +315,16 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
         q_scaled(n, 7, l)
         assert sum(calls.values()) <= 1
     monkeypatch.setattr(dsums, "q_scaled", counting("q_scaled", dsums.q_scaled))
+    monkeypatch.setattr(dsums, "super_catalan",
+                        counting("super_catalan", dsums.super_catalan))
     with memo_scope:
         calls.clear()
-        dsums._witness_row(n, l, 1)  # a fresh row: one pass over q_scaled
-        assert calls["q_scaled"] <= n + 1
-        # one binomial per fresh q_scaled, none for the row itself
-        assert sum(calls.values()) - calls["q_scaled"] <= calls["q_scaled"]
+        misses = dsums._pascal.cache_info().misses
+        # a fresh level-1 row: one S per entry of its x vector, the central
+        # binomials walked, and Pascal rows 0..2n, each built once
+        dsums._witness_row(n, l, 1)
+        assert dict(calls) == {"super_catalan": n + 1}
+        assert dsums._pascal.cache_info().misses - misses == 2 * n + 1
         calls.clear()
         dsums._witness_row(n, l, 2)  # one lift, the row below memoized
         assert sum(calls.values()) <= n + 1

@@ -236,20 +236,46 @@ def test_parallel_sweep_maps_each_identity_once_in_name_order(monkeypatch,
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
     grid = GridBounds(n_max=4, l_max=2)
     sweep(["thm3", "eq18", "thm1", "eq18"], grid, jobs=2)
-    assert serial_pool["mapped"] == [["eq18", "thm1", "thm3"]]
+    # the pool maps resolved specs; no worker looks a name up again
+    assert [[spec.name for spec in specs] for specs in serial_pool["mapped"]] \
+        == [["eq18", "thm1", "thm3"]]
     # one identity is one unit of work: it runs here, with no pool
     solo = sweep(["eq13"], grid, jobs=2)
     assert serial_pool["sizes"] == [2]
     assert to_jsonl(solo) == to_jsonl(sweep(["eq13"], grid, jobs=1))
 
 
+def test_a_parallel_sweep_rejects_a_spec_that_does_not_pickle(monkeypatch,
+                                                              serial_pool):
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    grid = GridBounds(n_max=2, l_max=1)
+    register(IdentitySpec("lambda-domain", "unpicklable fixture", ("n",),
+                          lambda n, l, t, m: True, verifier._check_eq2))
+    try:
+        # with or without a second identity, so the CPU count cannot decide
+        for names in (["lambda-domain", "thm1"], ["lambda-domain"]):
+            with pytest.raises(ValueError, match="identity 'lambda-domain'"):
+                sweep(names, grid, jobs=2)
+        assert serial_pool["sizes"] == []
+        report = sweep(["lambda-domain"], grid, jobs=1)
+        assert (report.passed, report.failed) == (3, 0)
+    finally:
+        REGISTRY.pop("lambda-domain")
+
+
 def test_sweep_bytes_are_the_same_under_every_start_method():
     # a fresh interpreter, so the start method can be set before any pool;
-    # cpu_count is pinned to 2 so the pool runs on a one-CPU machine too
+    # cpu_count is pinned to 2 so the pool runs on a one-CPU machine too.
+    # thm1-again is registered after import: a spawn or forkserver worker
+    # never runs that line, so only the pickled spec carries it there
     code = (
         "import multiprocessing, os\n"
-        "from supercatalan.verifier import GridBounds, registry_ids, sweep, to_jsonl\n"
+        "from supercatalan import verifier\n"
+        "from supercatalan.verifier import (GridBounds, IdentitySpec, register,\n"
+        "                                   registry_ids, sweep, to_jsonl)\n"
         "os.cpu_count = lambda: 2\n"
+        "register(IdentitySpec('thm1-again', 'thm1 registered at runtime', ('n', 'l'),\n"
+        "                      verifier._any, verifier._check_thm1))\n"
         "grid = GridBounds(n_max=6, l_max=3)\n"
         "serial = to_jsonl(sweep(registry_ids(), grid, jobs=1))\n"
         "for method in ('spawn', 'forkserver', 'fork'):\n"
@@ -505,7 +531,7 @@ def test_a_thm3_sweep_keeps_one_lifted_row():
     lifted = {dsums._witness_row(n, l, level)
               for n in range(2, 7) for l in range(4) for level in range(2, 7)}
     with memo_scope:
-        verifier._sweep_identity("thm3", grid)
+        verifier._sweep_identity(get_identity("thm3"), grid)
         held = [row for table in exactnum._tables for value in table.values()
                 for row in _rows_in(value) if row in lifted]
         assert len(held) <= 1
