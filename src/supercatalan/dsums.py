@@ -18,13 +18,12 @@ m >= 2), and the constant unit_summand for engine self-tests.
 
 For psi_summand the level-0 and level-1 layers of D(2n, j, t) admit closed
 forms that factor S(n, l) out in front: d_psi_base_closed carries a rational
-cofactor, d_psi_level1 an integer one read from the level-1 witness row,
-which _level1_row builds from one vector x[u] = (-1)^u binomial(2u, u)
-S(n, n+l-u) and no q_scaled call. Propagating the integer cofactors
-upward through the level recurrence gives a constructive quotient
-psi(2n, m, l) / S(n, l) that never performs the division; that is what
-psi_quotient_witness returns and what psi_divisibility_check is validated
-against.
+cofactor, d_psi_level1 an integer one read from the level-1 witness row.
+Both set the closed value against the direct sum in one shared step.
+Propagating the integer cofactors upward through the level recurrence
+gives a constructive quotient psi(2n, m, l) / S(n, l) that never performs
+the division; that is what psi_quotient_witness returns and what
+psi_divisibility_check is validated against.
 
 d_sum_direct and the witness rows read rows: _pascal(N) holds binomial(N, k)
 for k = 0..N and _summands(f, n, l) holds f(n, k, l) for k = 0..n. Each of
@@ -34,11 +33,11 @@ only n + 1 times, whatever j and t they take. A lone d_sum_direct, with no
 scope open, evaluates f and binomial(n, k) on its window only.
 
 No other inner sum takes a binomial per term either. a_t reads its
-binomials from a Pascal row, and q_scaled reads binomial(n-s, v) from one.
-The inner sum of _base_expanded and the central binomials of q_scaled and
-of the level-1 witness vector walk instead: each factor is taken once, for
-the first term, and then stepped by its exact ratio, one small-integer
-product and one quotient a term:
+binomials from a Pascal row, and so do q_scaled and the level-1 witness
+row. The inner sum of _base_expanded and the central binomials of the
+level-1 cofactor vector walk instead: each factor is taken once, for the
+first term, and then stepped by its exact ratio, one small-integer product
+and one quotient a term:
 
     binomial(N, k+1)    = binomial(N, k) (N-k) / (k+1)
     binomial(2w+2, w+1) = binomial(2w, w) 2(2w+1) / (w+1)
@@ -53,17 +52,20 @@ _base_windowed). a_t and the regroupings call f directly, so eq17 plays
 them against the summand row. The routes share no code beyond the rows, so
 the cross-checks between them stay independent.
 
-A witness row holds D(2n, j, level) / S(n, l) for j = 0..n. It weights a
-vector w once, and its entry j is sum_k binomial(2n-j, k-j) w[k], one dot
-product of a Pascal row with a slice of w. At level 1,
-w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), and the row holds every
-level-1 cofactor of its (n, l). It does not call q_scaled: with
-x[u] = (-1)^u binomial(2u, u) S(n, n+l-u) for u = 0..n,
+One walk, _cofactor_vector, builds the level-1 cofactor vector
+
+    x[u] = (-1)^u binomial(2u, u) S(n, n+l-u),   u = 0..n,
+
+and q_scaled and the level-1 witness row are dot products over it:
 
     (-1)^k q_scaled(n, k, l) = sum_{u=k}^{n} binomial(n-k, u-k) x[u],
 
-one dot product of a Pascal row with a slice of x. So eq104, which reads
-q_scaled(n, 0, l), reaches q by other code than the row. Above level 1,
+one Pascal row against a slice of x. A witness row holds
+D(2n, j, level) / S(n, l) for j = 0..n. It weights a vector w once, and
+its entry j is sum_k binomial(2n-j, k-j) w[k], one dot product of a Pascal
+row with a slice of w. At level 1, w[k] = (-1)^k binomial(n, k)
+q_scaled(n, k, l), each entry taken from x as above, and the row holds
+every level-1 cofactor of its (n, l). Above level 1,
 w[k] = binomial(2n, k) below[k].
 
 The Pascal and summand rows, q_scaled and the level-1 witness rows are
@@ -238,6 +240,17 @@ def q_sum(n: int, s: int, l: int) -> Fraction:
                 for v in range(n - s + 1)), Fr(0))
 
 
+def _cofactor_vector(n: int, l: int) -> list[int]:
+    # x[u] = (-1)^u binomial(2u, u) S(n, n+l-u) for u = 0..n, the central
+    # binomial walked: the one walk that q_scaled and the level-1 row read
+    x, c = [], 1
+    for u in range(n + 1):
+        v = c * super_catalan(n, n + l - u)
+        x.append(-v if u & 1 else v)
+        c = c * 2 * (2 * u + 1) // (u + 1)
+    return x
+
+
 @memoized
 def q_scaled(n: int, s: int, l: int) -> int:
     """binomial(2n, n) * q_sum(n, s, l), assembled without any division.
@@ -245,19 +258,26 @@ def q_scaled(n: int, s: int, l: int) -> int:
     q_scaled(n, s, l) = sum_v (-1)^v binomial(2(s+v), s+v) binomial(n-s, v)
                         S(n, n+l-s-v)
 
-    Always an integer, and even whenever l >= 1, which is what makes the
-    constructive divisibility quotients below integral.
+    It is (-1)^s times the dot product of the Pascal row binomial(n-s, v)
+    with the slice x[s:] of the level-1 cofactor vector. Always an integer,
+    and even whenever l >= 1, which is what makes the constructive
+    divisibility quotients below integral.
     """
     if n < 0 or l < 0 or not 0 <= s <= n:
         raise ValueError(f"q_scaled requires n, l >= 0 and 0 <= s <= n, "
                          f"got n={n}, s={s}, l={l}")
-    a = central_binomial(s)  # binomial(2(s+v), s+v)
-    total = 0
-    for v, c in enumerate(_pascal(n - s)):
-        x = a * c * super_catalan(n, n + l - s - v)
-        total += -x if v & 1 else x
-        a = a * 2 * (2 * (s + v) + 1) // (s + v + 1)
-    return total
+    total = sum(map(mul, _pascal(n - s), _cofactor_vector(n, l)[s:]))
+    return -total if s & 1 else total
+
+
+def _against_direct(closed, n: int, j: int, level: int, l: int) -> int:
+    # the direct sum D(2n, j, level), raised against a closed-form value
+    direct = d_sum_direct(psi_summand, 2 * n, j, level, l)
+    if closed != direct:
+        raise IntegrityError(
+            f"closed level-{level} form disagrees at n={n}, j={j}, l={l}: "
+            f"{closed} vs direct {direct}")
+    return direct
 
 
 def d_psi_base_closed(n: int, j: int, l: int) -> tuple[int, Fraction]:
@@ -275,13 +295,7 @@ def d_psi_base_closed(n: int, j: int, l: int) -> tuple[int, Fraction]:
     if n < 0 or l < 0 or not 0 <= j <= n:
         raise ValueError(f"requires n, l >= 0 and 0 <= j <= n, got n={n}, j={j}, l={l}")
     cofactor = (-1) ** j * binomial(2 * n - j, n) * q_sum(n, j, l)
-    product = super_catalan(n, l) * cofactor
-    direct = d_sum_direct(psi_summand, 2 * n, j, 0, l)
-    if product.denominator != 1 or int(product) != direct:
-        raise IntegrityError(
-            f"closed level-0 form disagrees at n={n}, j={j}, l={l}: "
-            f"{product} vs direct {direct}")
-    return direct, cofactor
+    return _against_direct(super_catalan(n, l) * cofactor, n, j, 0, l), cofactor
 
 
 def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
@@ -299,13 +313,7 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
         raise ValueError(f"requires n, l >= 0 and 0 <= j <= n, got n={n}, j={j}, l={l}")
     signed = _level1_row(n, l)[j]
     cofactor = -signed if j & 1 else signed
-    value = super_catalan(n, l) * signed
-    direct = d_sum_direct(psi_summand, 2 * n, j, 1, l)
-    if value != direct:
-        raise IntegrityError(
-            f"closed level-1 form disagrees at n={n}, j={j}, l={l}: "
-            f"{value} vs direct {direct}")
-    return direct, cofactor
+    return _against_direct(super_catalan(n, l) * signed, n, j, 1, l), cofactor
 
 
 def _weigh(n: int, w: list[int]) -> tuple[int, ...]:
@@ -315,13 +323,8 @@ def _weigh(n: int, w: list[int]) -> tuple[int, ...]:
 
 @memoized
 def _level1_row(n: int, l: int) -> tuple[int, ...]:
-    # x[u] = (-1)^u binomial(2u, u) S(n, n+l-u), the central binomial walked;
-    # then (-1)^k q_scaled(n, k, l) = sum_u binomial(n-k, u-k) x[u]
-    x, c = [], 1
-    for u in range(n + 1):
-        v = c * super_catalan(n, n + l - u)
-        x.append(-v if u & 1 else v)
-        c = c * 2 * (2 * u + 1) // (u + 1)
+    # w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), each q from the one x
+    x = _cofactor_vector(n, l)
     return _weigh(n, [b * sum(map(mul, _pascal(n - k), x[k:]))
                       for k, b in enumerate(_pascal(n))])
 

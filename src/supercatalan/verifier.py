@@ -13,13 +13,14 @@ two invocations with the same arguments serialize to byte-identical
 reports regardless of the worker count.
 
 sweep resolves each name once, in the calling process, and hands a pool
-the IdentitySpec itself, which pickles its check and domain by reference.
-So a runtime identity's check and domain must be module-level functions
-that a worker can import. A jobs > 1 sweep of a spec that does not pickle
-(a lambda or a closure, say) raises ValueError before any worker starts. A
-function defined under `if __name__ == "__main__":` pickles in the parent,
-but a worker started by spawn or forkserver re-imports the main module
-without running that block, cannot find it, and the pool breaks.
+the IdentitySpec itself, pickled once, with its check and domain by
+reference. So a runtime identity's check and domain must be module-level
+functions that a worker can import. A jobs > 1 sweep of a spec that does
+not pickle (a lambda or a closure, say) raises ValueError before any worker
+starts. A function defined under `if __name__ == "__main__":` pickles in
+the parent, but a worker started by spawn or forkserver re-imports the main
+module without running that block and cannot find it; the sweep then
+raises ValueError naming the identity that the worker could not load.
 
 Identities share their sums through the package memo (exactnum.memoized):
 sweep and run_check open a memo scope around their evaluations, and the
@@ -559,6 +560,19 @@ def _sweep_identity(spec: IdentitySpec, grid: GridBounds) -> list[CheckResult]:
     return [_evaluate(spec, p) for p in _iter_points(spec, grid)]
 
 
+def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds) -> list[CheckResult]:
+    # a pool's unit of work: the spec is unpickled here, inside the task, so
+    # a worker that cannot load it fails this task with its name, not the pool
+    import pickle
+    name, data = task
+    try:
+        spec = pickle.loads(data)
+    except Exception as exc:
+        raise ValueError(f"identity {name!r} cannot be loaded in a worker "
+                         f"process: {exc}") from exc
+    return _sweep_identity(spec, grid)
+
+
 def _open_worker_scope() -> None:
     # a pool worker memoizes for its whole life; its tables go with it
     memo_scope.__enter__()
@@ -585,8 +599,10 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     the serial loop and of the pool's map; both keep sorted name order, so
     the report content does not depend on jobs. The pool starts no more
     workers than identities or CPUs: a one-identity sweep runs in process.
-    Each name is resolved once, here, and the pool maps the specs; with
-    jobs > 1, a spec that does not pickle raises ValueError first.
+    Each name is resolved once, here, and the pool maps the specs, each
+    pickled once; with jobs > 1, a spec that does not pickle raises
+    ValueError first, and one that a worker cannot unpickle raises
+    ValueError from the pool.
 
     The serial loop runs in one memo scope, and each pool worker holds one
     for its life, so identities that share a sum evaluate it once per
@@ -605,9 +621,10 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
         # checked for jobs > 1, not per pool, so the CPU count cannot decide
         # whether a sweep raises
         import pickle
+        tasks = []
         for spec in specs:
             try:
-                pickle.dumps(spec)
+                tasks.append((spec.name, pickle.dumps(spec)))
             except (pickle.PicklingError, AttributeError, TypeError) as exc:
                 raise ValueError(f"identity {spec.name!r} cannot be sent to a "
                                  f"worker process: {exc}") from exc
@@ -622,7 +639,7 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_open_worker_scope) as pool:
-            batches = list(pool.map(_sweep_identity, specs, repeat(grid)))
+            batches = list(pool.map(_sweep_pickled, tasks, repeat(grid)))
     results = tuple(chain.from_iterable(batches))
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for r in results:

@@ -30,7 +30,7 @@ from supercatalan.dsums import (
 from supercatalan.exactnum import IntegrityError, central_binomial, memo_scope
 from supercatalan.sums import psi, psi_t
 from supercatalan.supercat import super_catalan
-from supercatalan.verifier import run_check
+from supercatalan.verifier import GridBounds, run_check, sweep
 
 import _oracle
 
@@ -106,12 +106,14 @@ def test_q_scaled_frozen_values():
     assert q_scaled(0, 0, 0) == 1
 
 
-def test_q_scaled_is_the_cleared_kernel():
-    for n in range(8):
+def test_q_scaled_is_the_cleared_kernel(memo_oracle):
+    # every s reads a slice x[s:] of the cofactor vector, the last ones short
+    for n in range(41):
         for s in range(n + 1):
             for l in range(4):
-                assert q_scaled(n, s, l) == central_binomial(n) * q_sum(n, s, l)
                 assert q_scaled(n, s, l) == _oracle.q_scaled(n, s, l)
+                if n < 8:
+                    assert q_scaled(n, s, l) == central_binomial(n) * q_sum(n, s, l)
 
 
 def test_q_scaled_even_for_positive_l():
@@ -355,6 +357,22 @@ def test_closed_form_cross_checks_trip_when_direct_drifts(monkeypatch):
     result = run_check("dlevel1", n=3, l=2, t=1)
     assert result.status == "fail"
     assert result.reason.startswith("IntegrityError: closed level-1 form disagrees at n=3, j=1, l=2")
+
+
+def test_a_drifted_cofactor_vector_fails_every_witness_identity(monkeypatch):
+    # q_scaled and the level-1 row read one vector; each identity that reads
+    # it sets its value against a side that does not
+    vector = dsums._cofactor_vector
+
+    def drifted(n, l):
+        x = vector(n, l)
+        x[0] += 2
+        return x
+
+    monkeypatch.setattr(dsums, "_cofactor_vector", drifted)
+    report = sweep(["eq104", "dlevel1", "thm3"], GridBounds(n_max=4, l_max=2, m_max=4))
+    failed = Counter(r.identity for r in report.results if r.status == "fail")
+    assert set(failed) == {"eq104", "dlevel1", "thm3"}, failed
 
 
 @pytest.mark.parametrize("n, l, j", [(0, 0, 0), (3, 2, 1), (5, 1, 0), (6, 3, 4),

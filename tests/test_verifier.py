@@ -236,9 +236,12 @@ def test_parallel_sweep_maps_each_identity_once_in_name_order(monkeypatch,
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
     grid = GridBounds(n_max=4, l_max=2)
     sweep(["thm3", "eq18", "thm1", "eq18"], grid, jobs=2)
-    # the pool maps resolved specs; no worker looks a name up again
-    assert [[spec.name for spec in specs] for specs in serial_pool["mapped"]] \
+    # the pool maps resolved specs, each pickled once with its name; no
+    # worker looks a name up again
+    assert [[name for name, _ in tasks] for tasks in serial_pool["mapped"]] \
         == [["eq18", "thm1", "thm3"]]
+    assert [pickle.loads(data) for _, data in serial_pool["mapped"][0]] \
+        == [REGISTRY[name] for name in ("eq18", "thm1", "thm3")]
     # one identity is one unit of work: it runs here, with no pool
     solo = sweep(["eq13"], grid, jobs=2)
     assert serial_pool["sizes"] == [2]
@@ -290,6 +293,45 @@ def test_sweep_bytes_are_the_same_under_every_start_method():
     assert lines and all(line.endswith(" True") for line in lines), lines
     if sys.platform.startswith("linux"):
         assert lines == ["spawn True", "forkserver True", "fork True"]
+
+
+def test_a_worker_names_a_spec_it_cannot_load():
+    # mine_domain pickles by reference to __main__, where a fork worker finds
+    # it; a spawn or forkserver worker starts a fresh __main__ without it
+    code = (
+        "import multiprocessing, os\n"
+        "from supercatalan import verifier\n"
+        "from supercatalan.verifier import (GridBounds, IdentitySpec, register,\n"
+        "                                   sweep, to_jsonl)\n"
+        "os.cpu_count = lambda: 2\n"
+        "if __name__ == '__main__':\n"
+        "    def mine_domain(n, l, t, m):\n"
+        "        return True\n"
+        "    register(IdentitySpec('mine', 'thm1 with a __main__ domain', ('n', 'l'),\n"
+        "                          mine_domain, verifier._check_thm1))\n"
+        "    grid = GridBounds(n_max=2, l_max=3)\n"
+        "    serial = to_jsonl(sweep(['mine', 'thm1'], grid, jobs=1))\n"
+        "    for method in ('spawn', 'forkserver', 'fork'):\n"
+        "        if method in multiprocessing.get_all_start_methods():\n"
+        "            multiprocessing.set_start_method(method, force=True)\n"
+        "            try:\n"
+        "                report = sweep(['mine', 'thm1'], grid, jobs=2)\n"
+        "            except ValueError as exc:\n"
+        "                print(method, exc)\n"
+        "            else:\n"
+        "                print(method, report.passed, to_jsonl(report) == serial)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    for method in ("spawn", "forkserver"):
+        if method in lines:
+            assert lines[method].startswith(
+                "identity 'mine' cannot be loaded in a worker process: "), lines
+    if "fork" in lines:
+        assert lines["fork"] == "24 True"
+    if sys.platform.startswith("linux"):
+        assert sorted(lines) == ["fork", "forkserver", "spawn"]
 
 
 def test_cold_start_does_not_load_the_process_pool():
