@@ -29,8 +29,8 @@ d_sum_direct and the witness rows read rows: _pascal(N) holds binomial(N, k)
 for k = 0..N and _summands(f, n, l) holds f(n, k, l) for k = 0..n. Each of
 their sums is one sum(map(mul, ...)) over slices of those rows, so its loop
 runs in C, and inside a memo scope the direct sums of one (n, l) evaluate f
-only n + 1 times, whatever j and t they take. A lone d_sum_direct, with no
-scope open, evaluates f and binomial(n, k) on its window only.
+only n + 1 times, whatever j and t they take. Outside a scope each call
+builds the full rows and keeps nothing.
 
 No other inner sum takes a binomial per term either. a_t reads its
 binomials from a Pascal row, and so do q_scaled and the level-1 witness
@@ -69,9 +69,10 @@ every level-1 cofactor of its (n, l). Above level 1,
 w[k] = binomial(2n, k) below[k].
 
 The Pascal and summand rows, q_scaled and the level-1 witness rows are
-memoized (exactnum.memoized) while a memo scope is open: a sweep, a
-run_check, psi_quotient_witness, which opens one for its lift, or
-d_sum_step, which opens one so that its inner direct sums share their
+memoized (exactnum.memoized) while a memo scope is open. This module only
+declares what is memoized and never opens a scope: the verifier does, for
+a sweep, each pool worker and each run_check, and a library caller can
+open exactnum.memo_scope around a batch of calls to have them share their
 rows. Above level 1 the memo holds one row: the highest level reached for
 the (n, l) lifted last. A lift starts from it if it has the same (n, l)
 and is not above the target, and from the level-1 row otherwise; the rows
@@ -90,7 +91,7 @@ from math import comb
 from operator import mul
 from typing import Callable
 
-from .exactnum import IntegrityError, binomial, central_binomial, memo_scope, memoized
+from .exactnum import IntegrityError, binomial, central_binomial, memoized
 from .sums import psi
 from .supercat import super_catalan
 
@@ -148,6 +149,11 @@ def _check_window(n: int, j: int) -> None:
         raise ValueError(f"window offset requires 0 <= 2j <= n, got j={j}, n={n}")
 
 
+def _check_cofactor_index(n: int, s: int, l: int) -> None:
+    if n < 0 or l < 0 or not 0 <= s <= n:
+        raise ValueError(f"requires n, l >= 0 and 0 <= s <= n, got n={n}, s={s}, l={l}")
+
+
 def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     """Evaluate D(n, j, t) for summand f by its defining single sum."""
     _check_window(n, j)
@@ -156,14 +162,9 @@ def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     # k = j+u runs over the window [j, n-j]; binomial(n-j, u) and
     # binomial(n-j, k) are slices of one Pascal row
     inner, window = _pascal(n - j), slice(j, n - j + 1)
-    if memo_scope.active:  # rows that every j and t of (n, l) share
-        values = _summands(f, n, l)[window]
-        c = _pascal(n)[window] if t else ()
-    else:  # a lone call takes f and binomial(n, k) on its window only
-        ks = range(j, n - j + 1)
-        values, c = map(f, repeat(n), ks, repeat(l)), map(comb, repeat(n), ks)
-    terms = map(mul, map(mul, inner, inner[window]), values)
+    terms = map(mul, map(mul, inner, inner[window]), _summands(f, n, l)[window])
     if t:
+        c = _pascal(n)[window]
         terms = map(mul, terms, c if t == 1 else map(pow, c, repeat(t)))
     return sum(terms)
 
@@ -177,10 +178,9 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j)
     if t < 1:
         raise ValueError(f"level recurrence needs t >= 1, got {t}")
-    with memo_scope:  # the inner sums share their rows even outside a sweep
-        return sum(binomial(n, j + u) * binomial(n - j, u)
-                   * d_sum_direct(f, n, j + u, t - 1, l)
-                   for u in range((n - 2 * j) // 2 + 1))
+    return sum(binomial(n, j + u) * binomial(n - j, u)
+               * d_sum_direct(f, n, j + u, t - 1, l)
+               for u in range((n - 2 * j) // 2 + 1))
 
 
 def a_t(f: Summand, n: int, t: int, l: int) -> int:
@@ -230,9 +230,7 @@ def q_sum(n: int, s: int, l: int) -> Fraction:
                      binomial(2(n+l-s-v), n+l-s-v) binomial(n-s, v)
                      / binomial(2n+l-s-v, n)
     """
-    if n < 0 or l < 0 or not 0 <= s <= n:
-        raise ValueError(f"q_sum requires n, l >= 0 and 0 <= s <= n, "
-                         f"got n={n}, s={s}, l={l}")
+    _check_cofactor_index(n, s, l)
     Fr = Fraction
     return sum((Fr((-1) ** v * central_binomial(s + v)
                    * central_binomial(n + l - s - v) * binomial(n - s, v),
@@ -263,9 +261,7 @@ def q_scaled(n: int, s: int, l: int) -> int:
     and even whenever l >= 1, which is what makes the constructive
     divisibility quotients below integral.
     """
-    if n < 0 or l < 0 or not 0 <= s <= n:
-        raise ValueError(f"q_scaled requires n, l >= 0 and 0 <= s <= n, "
-                         f"got n={n}, s={s}, l={l}")
+    _check_cofactor_index(n, s, l)
     total = sum(map(mul, _pascal(n - s), _cofactor_vector(n, l)[s:]))
     return -total if s & 1 else total
 
@@ -292,8 +288,7 @@ def d_psi_base_closed(n: int, j: int, l: int) -> tuple[int, Fraction]:
     product is guaranteed integer). The product is cross-checked against
     the direct evaluation on every call.
     """
-    if n < 0 or l < 0 or not 0 <= j <= n:
-        raise ValueError(f"requires n, l >= 0 and 0 <= j <= n, got n={n}, j={j}, l={l}")
+    _check_cofactor_index(n, j, l)
     cofactor = (-1) ** j * binomial(2 * n - j, n) * q_sum(n, j, l)
     return _against_direct(super_catalan(n, l) * cofactor, n, j, 0, l), cofactor
 
@@ -309,8 +304,7 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     evaluation on every call, and the direct value is what comes back, as
     in d_psi_base_closed.
     """
-    if n < 0 or l < 0 or not 0 <= j <= n:
-        raise ValueError(f"requires n, l >= 0 and 0 <= j <= n, got n={n}, j={j}, l={l}")
+    _check_cofactor_index(n, j, l)
     signed = _level1_row(n, l)[j]
     cofactor = -signed if j & 1 else signed
     return _against_direct(super_catalan(n, l) * signed, n, j, 1, l), cofactor
@@ -373,10 +367,7 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
         return super_catalan(n + l, n)
     if m == 2:
         return q_scaled(n, 0, l)
-    # the lift shares its Pascal rows; they and the row it reached go when
-    # the outermost scope closes
-    with memo_scope:
-        return _witness_row(n, l, m - 2)[0]
+    return _witness_row(n, l, m - 2)[0]
 
 
 @dataclass(frozen=True)

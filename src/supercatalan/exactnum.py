@@ -12,8 +12,9 @@ it only while a memo_scope is open; outside one, and for keyword calls, it
 just calls the function. Scopes nest, and the outermost exit empties every
 table, so a sweep shares each sum between the identities that use it and
 leaves nothing behind. Each function has its own table, so two routes to
-one value never share an entry. memo_scope.active says whether a scope is
-open, for a caller that reads less when nothing will be remembered.
+one value never share an entry. The code that computes never opens a
+scope: the verifier opens one for each unit of work, and a library caller
+that wants a batch of calls to share their tables opens one around it.
 
 Each memoized function has a cache_info() with functools' field names.
 hits and misses count the lookups made inside a scope, over the life of
@@ -112,11 +113,6 @@ def memoized(fn):
 
 class _MemoScope:
     """Re-entrant context: memoized functions remember until the outermost exit."""
-
-    @property
-    def active(self) -> bool:
-        """Whether a scope is open, so that memoized functions remember."""
-        return _depth > 0
 
     def __enter__(self) -> None:
         global _depth

@@ -76,8 +76,6 @@ def _windowed(n: int, t: int, l: int, weight=None, m: int = 1, a: int = 0,
 @memoized
 def psi(n: int, m: int, l: int) -> int:
     """Alternating convolution with the binomial weight raised to the m-th power."""
-    if n < 0:
-        raise ValueError(f"sum length must be non-negative, got {n}")
     if m < 1:
         raise ValueError(f"binomial power must be positive, got {m}")
     return _windowed(n, 0, l, m=m)

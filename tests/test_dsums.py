@@ -4,13 +4,12 @@ import dataclasses
 from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercatalan import dsums
+from supercatalan import dsums, exactnum
 from supercatalan.dsums import (
     DivisionCheck,
     a_t,
@@ -202,13 +201,6 @@ def test_witness_domain_validation():
 SUMMANDS = ((psi_summand, _oracle.F_psi), (unit_summand, _oracle.F_one))
 
 
-@pytest.fixture
-def memo_oracle(monkeypatch):
-    # the definitional S recomputes factorials on every call; memoizing it
-    # keeps the oracle's route and makes the grid affordable
-    monkeypatch.setattr(_oracle, "S", lru_cache(maxsize=None)(_oracle.S))
-
-
 def _engine_agrees_with_oracle(n, j, l, levels):
     # D(n, j, t) by every route, and a_j(n), for a sum of length n
     for f, g in SUMMANDS:
@@ -340,11 +332,11 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
             d_sum_direct(summand, 2 * n, j, 1, l)
         assert calls["summand"] <= 2 * n + 1
         assert dsums._pascal.cache_info().misses - misses == n + 1
-    # d_sum_step opens a scope of its own, so even outside a sweep its
-    # inner direct sums share one summand row
-    calls.clear()
-    d_sum_step(summand, 2 * n, 0, 2, l)
-    assert calls["summand"] <= 2 * n + 1
+    # inside a scope the inner direct sums of d_sum_step share one summand row
+    with memo_scope:
+        calls.clear()
+        d_sum_step(summand, 2 * n, 0, 2, l)
+        assert calls["summand"] <= 2 * n + 1
 
 
 def test_closed_form_cross_checks_trip_when_direct_drifts(monkeypatch):
@@ -394,17 +386,17 @@ def test_d_psi_level1_returns_the_direct_value(monkeypatch):
     assert value is made[-1]
 
 
-def test_bare_direct_sum_calls_the_summand_on_its_window_only():
-    calls = Counter()
-
-    def counted(n, k, l):
-        calls[k] += 1
-        return psi_summand(n, k, l)
-
-    value = d_sum_direct(counted, 80, 30, 1, 3)
-    assert value == d_sum_direct(psi_summand, 80, 30, 1, 3)
-    assert sum(calls.values()) <= 80 - 2 * 30 + 1
-    assert set(calls) == set(range(30, 51))
+def test_a_call_outside_any_scope_takes_no_memo_lookup(memo_oracle):
+    # dsums never opens a scope itself: a bare call computes afresh and
+    # leaves every table empty
+    lookups = sum(dsums._pascal.cache_info()[:2])
+    for t in (1, 2):
+        want = _oracle.d_direct(_oracle.F_psi, 40, 7, t, 3)
+        assert d_sum_direct(psi_summand, 40, 7, t, 3) == want
+        assert d_sum_step(psi_summand, 40, 7, t, 3) == want
+    _witness_agrees_with_oracle(5, 4, 2)
+    assert sum(dsums._pascal.cache_info()[:2]) == lookups
+    assert exactnum._depth == 0 and not any(exactnum._tables)
 
 
 def test_level1_row_weighs_the_q_scaled_vector():

@@ -1,7 +1,6 @@
 """Alternating convolution sums: frozen values, vanishing, cross-relations."""
 
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -80,13 +79,6 @@ def _agrees_with_oracle(n, t, l):
     for name, f in RATIONAL_SUMS.items():
         value = f(n, t, l)
         assert type(value) is Fraction and value == getattr(_oracle, name)(n, t, l)
-
-
-@pytest.fixture
-def memo_oracle(monkeypatch):
-    # the definitional S recomputes factorials on every call; memoizing it
-    # keeps the oracle's route and makes the n <= 60 grid affordable
-    monkeypatch.setattr(_oracle, "S", lru_cache(maxsize=None)(_oracle.S))
 
 
 def test_matches_oracle_on_grid(memo_oracle):
