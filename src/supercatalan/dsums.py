@@ -16,10 +16,10 @@ Two summands are provided: psi_summand, whose D values reproduce the
 alternating super Catalan convolutions (psi(n, m, l) = D(n, 0, m-2) for
 m >= 2), and the constant unit_summand for engine self-tests.
 
-For psi_summand the level-0 and level-1 layers of D(2n, j, t) admit closed
-forms that factor S(n, l) out in front: d_psi_base_closed carries a rational
-cofactor, d_psi_level1 an integer one read from the level-1 witness row.
-Both set the closed value against the direct sum in one shared step.
+For psi_summand the level-1 layer of D(2n, j, t) admits a closed form that
+factors S(n, l) out in front: d_psi_level1 reads its integer cofactor from
+the level-1 witness row and sets the closed value against the direct sum.
+At level 0 only j = 0 is needed, D(2n, 0, 0) = S(n, l) q_scaled(n, 0, l).
 Propagating the integer cofactors upward through the level recurrence
 gives a constructive quotient psi(2n, m, l) / S(n, l) that never performs
 the division; that is what psi_quotient_witness returns and what
@@ -44,8 +44,7 @@ and one quotient a term:
 
 Each walk is inline, since at the lengths the sweeps run a generator per
 factor costs about as much as the binomial it replaces. The outer loops of
-d_sum_step and the base regroupings, and q_sum, which no sweep reaches,
-take binomial() per term.
+d_sum_step and the base regroupings take binomial() per term.
 
 d_sum_base plays a walk (_base_expanded) against rows (a_t under
 _base_windowed). a_t and the regroupings call f directly, so eq17 plays
@@ -105,7 +104,6 @@ __all__ = [
     "d_sum_base",
     "q_sum",
     "q_scaled",
-    "d_psi_base_closed",
     "d_psi_level1",
     "psi_quotient_witness",
     "DivisionCheck",
@@ -223,21 +221,6 @@ def d_sum_base(f: Summand, n: int, j: int, l: int) -> int:
     return windowed
 
 
-def q_sum(n: int, s: int, l: int) -> Fraction:
-    """Rational kernel of the level-1 closed form.
-
-    q_sum(n, s, l) = sum_v (-1)^v binomial(2(s+v), s+v)
-                     binomial(2(n+l-s-v), n+l-s-v) binomial(n-s, v)
-                     / binomial(2n+l-s-v, n)
-    """
-    _check_cofactor_index(n, s, l)
-    Fr = Fraction
-    return sum((Fr((-1) ** v * central_binomial(s + v)
-                   * central_binomial(n + l - s - v) * binomial(n - s, v),
-                   binomial(2 * n + l - s - v, n))
-                for v in range(n - s + 1)), Fr(0))
-
-
 def _cofactor_vector(n: int, l: int) -> list[int]:
     # x[u] = (-1)^u binomial(2u, u) S(n, n+l-u) for u = 0..n, the central
     # binomial walked: the one walk that q_scaled and the level-1 row read
@@ -251,7 +234,7 @@ def _cofactor_vector(n: int, l: int) -> list[int]:
 
 @memoized
 def q_scaled(n: int, s: int, l: int) -> int:
-    """binomial(2n, n) * q_sum(n, s, l), assembled without any division.
+    """Integer kernel of the level-1 closed form, assembled without any division.
 
     q_scaled(n, s, l) = sum_v (-1)^v binomial(2(s+v), s+v) binomial(n-s, v)
                         S(n, n+l-s-v)
@@ -266,31 +249,14 @@ def q_scaled(n: int, s: int, l: int) -> int:
     return -total if s & 1 else total
 
 
-def _against_direct(closed, n: int, j: int, level: int, l: int) -> int:
-    # the direct sum D(2n, j, level), raised against a closed-form value
-    direct = d_sum_direct(psi_summand, 2 * n, j, level, l)
-    if closed != direct:
-        raise IntegrityError(
-            f"closed level-{level} form disagrees at n={n}, j={j}, l={l}: "
-            f"{closed} vs direct {direct}")
-    return direct
+def q_sum(n: int, s: int, l: int) -> Fraction:
+    """Rational kernel of the level-1 closed form, q_scaled over binomial(2n, n).
 
-
-def d_psi_base_closed(n: int, j: int, l: int) -> tuple[int, Fraction]:
-    """Closed level-0 evaluation D(2n, j, 0) = S(n, l) * cofactor.
-
-    Returns the integer value together with the factored rational cofactor
-
-        cofactor = (-1)^j binomial(2n-j, n) q_sum(n, j, l)
-
-    so divisibility by S(n, l) is witnessed constructively whenever the
-    cofactor happens to be integral (it is rational in general, only the
-    product is guaranteed integer). The product is cross-checked against
-    the direct evaluation on every call.
+    q_sum(n, s, l) = sum_v (-1)^v binomial(2(s+v), s+v)
+                     binomial(2(n+l-s-v), n+l-s-v) binomial(n-s, v)
+                     / binomial(2n+l-s-v, n)
     """
-    _check_cofactor_index(n, j, l)
-    cofactor = (-1) ** j * binomial(2 * n - j, n) * q_sum(n, j, l)
-    return _against_direct(super_catalan(n, l) * cofactor, n, j, 0, l), cofactor
+    return Fraction(q_scaled(n, s, l), central_binomial(n))
 
 
 def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
@@ -301,13 +267,17 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     constructive witness that S(n, l) divides the level-1 layer; it is read
     from the level-1 witness row of (n, l), which holds it with the sign
     (-1)^j. The reconstructed value is cross-checked against the direct
-    evaluation on every call, and the direct value is what comes back, as
-    in d_psi_base_closed.
+    evaluation on every call, and the direct value is what comes back.
     """
     _check_cofactor_index(n, j, l)
     signed = _level1_row(n, l)[j]
-    cofactor = -signed if j & 1 else signed
-    return _against_direct(super_catalan(n, l) * signed, n, j, 1, l), cofactor
+    closed = super_catalan(n, l) * signed
+    direct = d_sum_direct(psi_summand, 2 * n, j, 1, l)
+    if closed != direct:
+        raise IntegrityError(
+            f"closed level-1 form disagrees at n={n}, j={j}, l={l}: "
+            f"{closed} vs direct {direct}")
+    return direct, -signed if j & 1 else signed
 
 
 def _weigh(n: int, w: list[int]) -> tuple[int, ...]:
@@ -356,8 +326,8 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
     """Constructive quotient psi(2n, m, l) / S(n, l), no division performed.
 
     m = 1 comes from the product form of the full alternating convolution,
-    m = 2 from the level-0 closed form at j = 0, which is q_scaled(n, 0, l),
-    and m >= 3 from the level-(m-2) witness row.
+    m = 2 from the level-0 layer at j = 0, D(2n, 0, 0) = S(n, l)
+    q_scaled(n, 0, l), and m >= 3 from the level-(m-2) witness row.
     """
     if n < 0 or l < 0:
         raise ValueError(f"indices must be non-negative, got n={n}, l={l}")

@@ -32,6 +32,7 @@ def run_cli(capsys, *argv):
     (("compute", "d-sum", "--n", "4", "--j", "1", "--t", "0", "--l", "0"), "84"),
     (("compute", "q", "--n", "1", "--s", "0", "--l", "0"), "-1"),
     (("compute", "q", "--n", "1", "--s", "1", "--l", "0"), "2"),
+    (("compute", "q", "--n", "4", "--s", "2", "--l", "1"), "108/7"),
 ])
 def test_compute_values(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
@@ -43,6 +44,7 @@ def test_compute_values(capsys, argv, expected):
     (("compute", "catalan", "--n", "3", "--l", "1"), "does not take --l"),
     (("compute", "psi", "--n", "2", "--m", "0", "--l", "0"), "power must be positive"),
     (("compute", "psi-t", "--n", "4", "--t", "3", "--l", "0"), "0 <= 2t <= n"),
+    (("compute", "q", "--n", "4", "--s", "5", "--l", "1"), "0 <= s <= n"),
     (("verify", "--id", "thm99", "--n-max", "2"), "unknown identity"),
     (("verify", "--all", "--id", "thm1", "--n-max", "2"), "not both"),
     (("verify", "--n-max", "2"), "select identities"),

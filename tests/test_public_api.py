@@ -6,8 +6,8 @@ from supercatalan import dsums, exactnum, sums, supercat, verifier
 PUBLIC_NAMES = sorted([
     "CheckResult", "DivisionCheck", "GridBounds", "IdentitySpec",
     "InexactDivisionError", "IntegrityError", "Report", "Summand", "a_t",
-    "binomial", "catalan", "central_binomial", "d_psi_base_closed",
-    "d_psi_level1", "d_sum_base", "d_sum_direct", "d_sum_step",
+    "binomial", "catalan", "central_binomial", "d_psi_level1",
+    "d_sum_base", "d_sum_direct", "d_sum_step",
     "division_check", "exact_div", "factorial", "get_identity", "p_sum",
     "phi", "psi", "psi_divisibility_check", "psi_quotient_witness",
     "psi_summand", "psi_t", "q_scaled", "q_sum", "r_dprime_sum",
