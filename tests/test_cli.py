@@ -44,7 +44,6 @@ def test_compute_values(capsys, argv, expected):
     (("compute", "catalan", "--n", "3", "--l", "1"), "does not take --l"),
     (("compute", "psi", "--n", "2", "--m", "0", "--l", "0"), "power must be positive"),
     (("compute", "psi-t", "--n", "4", "--t", "3", "--l", "0"), "0 <= 2t <= n"),
-    (("compute", "q", "--n", "4", "--s", "5", "--l", "1"), "0 <= s <= n"),
     (("verify", "--id", "thm99", "--n-max", "2"), "unknown identity"),
     (("verify", "--all", "--id", "thm1", "--n-max", "2"), "not both"),
     (("verify", "--n-max", "2"), "select identities"),
@@ -52,6 +51,7 @@ def test_compute_values(capsys, argv, expected):
     (("verify", "--all", "--n-max", "-1"), "must be non-negative"),
     (("verify", "--all", "--n-max", "2", "--jobs", "0"), "at least 1"),
     (("sweep", "--all"), "at least one explicit grid bound"),
+    (("compute", "q", "--n", "4", "--s", "5", "--l", "1"), "0 <= s <= n"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
