@@ -30,7 +30,9 @@ for k = 0..N and _summands(f, n, l) holds f(n, k, l) for k = 0..n. Each of
 their sums is one sum(map(mul, ...)) over slices of those rows, so its loop
 runs in C, and inside a memo scope the direct sums of one (n, l) evaluate f
 only n + 1 times, whatever j and t they take. Outside a scope each call
-builds the full rows and keeps nothing.
+builds the full rows and keeps nothing. d_sum_step reads the level below
+from _direct_row(f, n, t-1, l), D(n, j, t-1) for j = 0..n/2 built from one
+summand row, so even outside a scope it evaluates f n + 1 times.
 
 No other inner sum takes a binomial per term either. a_t reads its
 binomials from a Pascal row, and so do q_scaled and the level-1 witness
@@ -59,26 +61,40 @@ and q_scaled and the level-1 witness row are dot products over it:
 
     (-1)^k q_scaled(n, k, l) = sum_{u=k}^{n} binomial(n-k, u-k) x[u],
 
-one Pascal row against a slice of x. A witness row holds
-D(2n, j, level) / S(n, l) for j = 0..n. It weights a vector w once, and
-its entry j is sum_k binomial(2n-j, k-j) w[k], one dot product of a Pascal
-row with a slice of w. At level 1, w[k] = (-1)^k binomial(n, k)
-q_scaled(n, k, l), each entry taken from x as above, and the row holds
-every level-1 cofactor of its (n, l). Above level 1,
-w[k] = binomial(2n, k) below[k].
+one Pascal row against a slice of x. The level-1 witness row holds
+D(2n, j, 1) / S(n, l) for j = 0..n, every level-1 cofactor of its (n, l).
+It weighs w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), each entry taken
+from x as above: its entry j is sum_k binomial(2n-j, k-j) w[k], one dot
+product of a Pascal row with a slice of w.
 
-The Pascal and summand rows, q_scaled and the level-1 witness rows are
-memoized (exactnum.memoized) while a memo scope is open. This module only
-declares what is memoized and never opens a scope: the verifier does, for
-a sweep, each pool worker and each run_check, and a library caller can
-open exactnum.memo_scope around a batch of calls to have them share their
-rows. Above level 1 the memo holds one row: the highest level reached for
-the (n, l) lifted last. A lift starts from it if it has the same (n, l)
-and is not above the target, and from the level-1 row otherwise; the rows
-in between are locals. A sweep that climbs m at each (n, l) thus lifts
-one level a point, and a lift to level 3000 holds a few rows, not 3000.
-The D values themselves are not memoized: a sweep rarely asks for one
-twice, so a table of them would only hold memory.
+Above level 1 the witness needs only entry 0 of a row, and the level
+recurrence has neither f nor l in it. So the level-L quotient is
+
+    psi_quotient_witness(n, L+2, l) = sum_k c_L[k] row1(n, l)[k],
+
+where row1 is the level-1 witness row and the lift vector c_L depends on
+n and L only:
+
+    c_1 = e_0,   c_{t+1}[k] = binomial(2n, k) sum_{j<=k} c_t[j] binomial(2n-j, k-j).
+
+A step is n + 1 dot products, each against a column tuple
+(binomial(2n-j, k-j), j = 0..k) read from the Pascal rows, and every l of
+one n shares it.
+
+The Pascal and summand rows, the direct rows, q_scaled and the level-1
+witness rows are memoized (exactnum.memoized) while a memo scope is open.
+This module only declares what is memoized and never opens a scope: the
+verifier does, for a sweep, each pool worker and each run_check, and a
+library caller can open exactnum.memo_scope around a batch of calls to
+have them share their rows. The lift vectors sit in one memoized slot that
+holds a single n: its column tuples and the vectors of the levels that
+were asked for. A lift starts from the highest held vector at or below its
+target, or from c_1; the levels in between are locals, and another n
+empties the slot. A sweep to m_max thus holds m_max - 2 vectors, and a
+lift to level 3000 holds one. Of the D values, only the direct rows are
+memoized: eq13 asks for D(n, j', t-1) once for each j <= j' at its point
+(n, l, t). d_psi_level1 asks for each of its D values once, so a table of
+those would only hold memory.
 """
 
 from __future__ import annotations
@@ -152,19 +168,31 @@ def _check_cofactor_index(n: int, s: int, l: int) -> None:
         raise ValueError(f"requires n, l >= 0 and 0 <= s <= n, got n={n}, s={s}, l={l}")
 
 
+def _direct(fs: tuple[int, ...], n: int, j: int, t: int) -> int:
+    # D(n, j, t) from the summand row fs. k = j+u runs over the window
+    # [j, n-j]; binomial(n-j, u) and binomial(n-j, k) are slices of one
+    # Pascal row
+    inner, window = _pascal(n - j), slice(j, n - j + 1)
+    terms = map(mul, map(mul, inner, inner[window]), fs[window])
+    if t:
+        c = _pascal(n)[window]
+        terms = map(mul, terms, c if t == 1 else map(pow, c, repeat(t)))
+    return sum(terms)
+
+
 def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     """Evaluate D(n, j, t) for summand f by its defining single sum."""
     _check_window(n, j)
     if t < 0:
         raise ValueError(f"level must be non-negative, got {t}")
-    # k = j+u runs over the window [j, n-j]; binomial(n-j, u) and
-    # binomial(n-j, k) are slices of one Pascal row
-    inner, window = _pascal(n - j), slice(j, n - j + 1)
-    terms = map(mul, map(mul, inner, inner[window]), _summands(f, n, l)[window])
-    if t:
-        c = _pascal(n)[window]
-        terms = map(mul, terms, c if t == 1 else map(pow, c, repeat(t)))
-    return sum(terms)
+    return _direct(_summands(f, n, l), n, j, t)
+
+
+@memoized
+def _direct_row(f: Summand, n: int, t: int, l: int) -> tuple[int, ...]:
+    """D(n, j, t) for j = 0..n//2, one summand row read for all of them."""
+    fs = _summands(f, n, l)
+    return tuple(_direct(fs, n, j, t) for j in range(n // 2 + 1))
 
 
 def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
@@ -176,8 +204,8 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j)
     if t < 1:
         raise ValueError(f"level recurrence needs t >= 1, got {t}")
-    return sum(binomial(n, j + u) * binomial(n - j, u)
-               * d_sum_direct(f, n, j + u, t - 1, l)
+    below = _direct_row(f, n, t - 1, l)
+    return sum(binomial(n, j + u) * binomial(n - j, u) * below[j + u]
                for u in range((n - 2 * j) // 2 + 1))
 
 
@@ -294,32 +322,42 @@ def _level1_row(n: int, l: int) -> tuple[int, ...]:
 
 
 @memoized
-def _lifted() -> list:
-    # [((n, l), level, row)]: the row above level 1 lifted last. Memoized on
-    # no arguments, so an open scope holds one slot and a bare call gets a
-    # fresh one, which goes with it. Threads that share a scope may overwrite
-    # each other's row; each still returns its own
-    return [(None, 0, ())]
+def _lifts() -> list:
+    # [(n, columns, {level: c})]: the lift vectors of the n lifted last, one
+    # per level asked for, and the column tuples their steps read. Memoized
+    # on no arguments, so an open scope holds one slot and a bare call gets
+    # a fresh one, which goes with it. Threads that share a scope may
+    # overwrite each other's n; each still returns its own vector
+    return [(None, (), {})]
 
 
-def _witness_row(n: int, l: int, level: int) -> tuple[int, ...]:
-    # Quotients D(2n, j, level) / S(n, l) for j = 0..n: the level-1 cofactors,
-    # signs included, pushed up through the level recurrence. A lift starts
-    # from the held row of (n, l) if that is not above the target, and keeps
-    # the highest row reached; the rows in between stay local.
-    if level == 1:
-        return _level1_row(n, l)
-    slot = _lifted()
-    key, top, row = slot[0]
-    keep = key != (n, l) or top < level  # the slot takes the row reached
-    if key != (n, l) or top > level:
-        top, row = 1, _level1_row(n, l)
-    wide = _pascal(2 * n)
-    for _ in range(top, level):
-        row = _weigh(n, list(map(mul, wide, row)))
-    if keep:
-        slot[0] = ((n, l), level, row)
-    return row
+def _lift(n: int, level: int) -> tuple[int, ...]:
+    # c_level, with psi_quotient_witness(n, level+2, l) = c_level dotted with
+    # the level-1 row of (n, l), for every l. A lift starts from the highest
+    # held vector of n at or below the target, or from c_1 = e_0, and keeps
+    # the target's; the vectors in between stay local.
+    slot = _lifts()
+    held, columns, vectors = slot[0]
+    if held != n:
+        columns = tuple(tuple(_pascal(2 * n - j)[k - j] for j in range(k + 1))
+                        for k in range(n + 1))
+        vectors = {}
+        slot[0] = (n, columns, vectors)
+    c = vectors.get(level)
+    if c is None:
+        top = max((t for t in vectors if t < level), default=1)
+        c = vectors.get(top, (1,) + (0,) * n)
+        wide = _pascal(2 * n)
+        for _ in range(top, level):
+            c = _lift_step(c, wide, columns)
+        vectors[level] = c
+    return c
+
+
+def _lift_step(c: tuple[int, ...], wide: tuple[int, ...],
+               columns: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    # entry k is binomial(2n, k) times c[:k+1] dotted with column k
+    return tuple(b * sum(map(mul, c, col)) for b, col in zip(wide, columns))
 
 
 def psi_quotient_witness(n: int, m: int, l: int) -> int:
@@ -327,7 +365,8 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
 
     m = 1 comes from the product form of the full alternating convolution,
     m = 2 from the level-0 layer at j = 0, D(2n, 0, 0) = S(n, l)
-    q_scaled(n, 0, l), and m >= 3 from the level-(m-2) witness row.
+    q_scaled(n, 0, l), and m >= 3 from the level-1 witness row weighed by
+    the level-(m-2) lift vector of n.
     """
     if n < 0 or l < 0:
         raise ValueError(f"indices must be non-negative, got n={n}, l={l}")
@@ -337,7 +376,7 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
         return super_catalan(n + l, n)
     if m == 2:
         return q_scaled(n, 0, l)
-    return _witness_row(n, l, m - 2)[0]
+    return sum(map(mul, _lift(n, m - 2), _level1_row(n, l)))
 
 
 @dataclass(frozen=True)

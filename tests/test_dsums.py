@@ -259,16 +259,12 @@ def test_direct_sum_reads_its_window_of_each_row(scope):
 
 
 @pytest.mark.parametrize("scope", [nullcontext, lambda: memo_scope], ids=["bare", "scoped"])
-def test_witness_row_entries_are_the_oracle_quotients(memo_oracle, scope):
-    n, l, level = 60, 3, 2
+def test_lifted_witness_is_the_oracle_quotient(memo_oracle, scope):
+    # m = 3 is the level-1 row's entry 0, each m above it one more lift step
+    n, l = 60, 3
     with scope():
-        row = dsums._witness_row(n, l, level)
-    assert len(row) == n + 1
-    for j, entry in enumerate(row):
-        quotient, remainder = divmod(_oracle.d_direct(_oracle.F_psi, 2 * n, j, level, l),
-                                     _oracle.S(n, l))
-        assert remainder == 0
-        assert entry == quotient
+        for m in range(3, 9):
+            _witness_agrees_with_oracle(n, m, l)
 
 
 def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
@@ -308,12 +304,15 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
         misses = dsums._pascal.cache_info().misses
         # a fresh level-1 row: one S per entry of its x vector, the central
         # binomials walked, and Pascal rows 0..2n, each built once
-        dsums._witness_row(n, l, 1)
+        dsums._level1_row(n, l)
         assert dict(calls) == {"super_catalan": n + 1}
         assert dsums._pascal.cache_info().misses - misses == 2 * n + 1
+        monkeypatch.setattr(dsums, "_lift_step", counting("step", dsums._lift_step))
         calls.clear()
-        dsums._witness_row(n, l, 2)  # one lift, the row below memoized
-        assert sum(calls.values()) <= n + 1
+        # level 2: one vector step, its columns read from the Pascal rows held
+        psi_quotient_witness(n, 4, l)
+        assert dict(calls) == {"step": 1}
+        assert dsums._pascal.cache_info().misses - misses == 2 * n + 1
     # the direct sums of one (2n, l), every j: one summand row, and one
     # Pascal row per distinct upper index 2n - j or 2n
     summand = counting("summand", psi_summand)
@@ -329,6 +328,30 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
         calls.clear()
         d_sum_step(summand, 2 * n, 0, 2, l)
         assert calls["summand"] <= 2 * n + 1
+
+
+def test_a_bare_step_reads_one_summand_row():
+    # outside a scope, d_sum_step builds the level below once, from one row
+    calls = Counter()
+
+    def summand(n, k, l):
+        calls[n] += 1
+        return psi_summand(n, k, l)
+
+    assert d_sum_step(summand, 200, 0, 2, 3) == d_sum_direct(psi_summand, 200, 0, 2, 3)
+    assert calls == {200: 201}
+
+
+def test_an_eq13_sweep_builds_each_direct_row_once():
+    grid = GridBounds(n_max=8, l_max=2)
+    with memo_scope:
+        misses = dsums._direct_row.cache_info().misses
+        report = sweep(["eq13"], grid)
+        built = dsums._direct_row.cache_info().misses - misses
+    assert report.failed == 0
+    keys = {(f, r.n, r.t - 1, r.l) for r in report.results
+            for f in (psi_summand, unit_summand)}
+    assert built == len(keys) == 2 * 9 * 3 * 3
 
 
 def test_closed_form_cross_checks_trip_when_direct_drifts(monkeypatch):
@@ -406,7 +429,7 @@ def test_level1_row_weighs_the_q_scaled_vector():
 def test_level1_row_entries_are_the_oracle_quotients(memo_oracle, scope):
     n, l = 60, 3
     with scope():
-        row = dsums._witness_row(n, l, 1)
+        row = dsums._level1_row(n, l)
     assert len(row) == n + 1
     for j, entry in enumerate(row):
         quotient, remainder = divmod(_oracle.d_direct(_oracle.F_psi, 2 * n, j, 1, l),
@@ -415,19 +438,30 @@ def test_level1_row_entries_are_the_oracle_quotients(memo_oracle, scope):
         assert entry == quotient
 
 
-def test_a_lift_starts_from_the_held_row_and_keeps_the_highest(monkeypatch):
-    n, l = 5, 2
-    bare = {level: dsums._witness_row(n, l, level) for level in range(1, 7)}
-    weighed = []
-    weigh = dsums._weigh
-    monkeypatch.setattr(dsums, "_weigh", lambda n, w: weighed.append(n) or weigh(n, w))
+def test_a_lift_starts_from_the_highest_held_vector(monkeypatch):
+    n = 5
+    bare = {level: dsums._lift(n, level) for level in range(1, 8)}
+    # the step's definition, by the oracle's binomials
+    assert bare[1] == (1,) + (0,) * n
+    for level in range(1, 7):
+        c = bare[level]
+        assert bare[level + 1] == tuple(
+            _oracle.binom(2 * n, k) * sum(c[j] * _oracle.binom(2 * n - j, k - j)
+                                          for j in range(k + 1))
+            for k in range(n + 1))
+    steps = []
+    step = dsums._lift_step
+    monkeypatch.setattr(dsums, "_lift_step", lambda *args: steps.append(1) or step(*args))
     with memo_scope:
-        assert dsums._witness_row(n, l, 4) == bare[4]
-        assert dsums._witness_row(n, l, 6) == bare[6]
-        assert dsums._witness_row(n, l, 3) == bare[3]  # from level 1
-        assert dsums._witness_row(n, l, 6) == bare[6]  # the held row
-        # one weighing makes the level-1 row, then 3 + 2 + 2 lifts
-        assert len(weighed) == 1 + 3 + 2 + 2
-        assert dsums._lifted() == [((n, l), 6, bare[6])]
-        dsums._witness_row(n + 1, l, 2)  # another (n, l) takes the slot
-        assert dsums._lifted()[0][:2] == ((n + 1, l), 2)
+        assert dsums._lift(n, 4) == bare[4]  # 3 steps from c_1
+        assert dsums._lift(n, 6) == bare[6]  # 2 from level 4
+        assert dsums._lift(n, 3) == bare[3]  # 2 from c_1
+        assert dsums._lift(n, 5) == bare[5]  # 1 from level 4
+        assert dsums._lift(n, 6) == bare[6]  # held
+        assert len(steps) == 3 + 2 + 2 + 1
+        held, _, vectors = dsums._lifts()[0]
+        assert held == n and vectors == {level: bare[level] for level in (3, 4, 5, 6)}
+        dsums._lift(n + 1, 2)  # another n empties the slot
+        held, _, vectors = dsums._lifts()[0]
+        assert held == n + 1 and list(vectors) == [2]
+        assert len(steps) == 3 + 2 + 2 + 1 + 1

@@ -29,6 +29,8 @@ from supercatalan.verifier import (
     to_jsonl,
 )
 
+import _oracle
+
 REQUIRED_IDS = {
     "vonszily", "symmetry", "parity", "thm1", "eq2", "eq3", "thm2", "eq8",
     "eq9", "eq18", "eq20", "eq22", "eq28", "eq29", "eq33", "eq47", "eq51",
@@ -559,7 +561,9 @@ def test_cold_deep_witness_peaks_below_one_megabyte():
 
 
 def _rows_in(value):
-    # every tuple held in a memo value, nested ones included
+    # every tuple held in a memo value, nested ones and dict values included
+    if isinstance(value, dict):
+        value = tuple(value.values())
     if isinstance(value, (tuple, list)):
         if isinstance(value, tuple):
             yield value
@@ -567,16 +571,29 @@ def _rows_in(value):
             yield from _rows_in(item)
 
 
-def test_a_thm3_sweep_keeps_one_lifted_row():
+def _lifted_row(n, l, level):
+    # D(2n, j, level) / S(n, l), j = 0..n, lifted row by row from level 1
+    row = dsums._level1_row(n, l)
+    for _ in range(1, level):
+        row = tuple(sum(_oracle.binom(2 * n - j, k - j) * _oracle.binom(2 * n, k) * row[k]
+                        for k in range(j, n + 1)) for j in range(n + 1))
+    return row
+
+
+def test_a_thm3_sweep_holds_the_lift_vectors_of_one_n():
     grid = GridBounds(n_max=6, l_max=3, m_max=8)
-    # rows above level 1 for n >= 2, where no Pascal or level-1 row equals one
-    lifted = {dsums._witness_row(n, l, level)
-              for n in range(2, 7) for l in range(4) for level in range(2, 7)}
+    # n >= 2 and level >= 2, where no Pascal or level-1 row equals a lift
+    # vector or a lifted row
+    vectors = {n: {dsums._lift(n, level) for level in range(2, 7)} for n in range(2, 7)}
+    rows = {_lifted_row(n, l, level)
+            for n in range(2, 7) for l in range(4) for level in range(2, 7)}
     with memo_scope:
         verifier._sweep_identity(get_identity("thm3"), grid)
         held = [row for table in exactnum._tables for value in table.values()
-                for row in _rows_in(value) if row in lifted]
-        assert len(held) <= 1
+                for row in _rows_in(value)]
+        assert [n for n in vectors if any(c in held for c in vectors[n])] == [6]
+        assert all(c in held for c in vectors[6])
+        assert not any(row in held for row in rows)
         assert dsums.q_scaled.cache_info().currsize <= 7 * 4  # one per (n, l)
 
 
@@ -647,6 +664,24 @@ def test_witness_rows_fail_when_the_level1_route_drifts(monkeypatch):
     # j = 0, and m = 3..5, at each of the 15 (n, l)
     assert report.failed == 15 + 15 * 3
     monkeypatch.setattr(dsums, "_level1_row", level1)
+    assert sweep(names, grid).failed == 0
+
+
+def test_witness_fails_when_the_lift_step_drifts(monkeypatch):
+    # entry 0 of every lift step off by one: m = 3 reads c_1 = e_0 and takes
+    # no step, while dlevel1 and eq104 read no lift vector
+    step = dsums._lift_step
+    monkeypatch.setattr(dsums, "_lift_step",
+                        lambda *args: (lambda c: (c[0] + 1,) + c[1:])(step(*args)))
+    names = ["dlevel1", "eq104", "thm3"]
+    grid = GridBounds(n_max=4, l_max=2, m_max=5)
+    report = sweep(names, grid)
+    for r in report.results:
+        drifted = r.identity == "thm3" and r.m >= 4
+        assert r.status == ("fail" if drifted else "pass"), r
+    # m = 4 and 5 at each of the 15 (n, l)
+    assert report.failed == 15 * 2
+    monkeypatch.setattr(dsums, "_lift_step", step)
     assert sweep(names, grid).failed == 0
 
 
