@@ -17,15 +17,16 @@ alternating super Catalan convolutions (psi(n, m, l) = D(n, 0, m-2) for
 m >= 2), and the constant unit_summand for engine self-tests.
 
 For psi_summand the level-1 layer of D(2n, j, t) admits a closed form that
-factors S(n, l) out in front: d_psi_level1 reads its integer cofactor from
-the level-1 witness row and sets the closed value against the direct sum.
-At level 0 only j = 0 is needed, D(2n, 0, 0) = S(n, l) q_scaled(n, 0, l).
-Propagating the integer cofactors upward through the level recurrence
-gives a constructive quotient psi(2n, m, l) / S(n, l) that never performs
-the division; that is what psi_quotient_witness returns and what
-psi_divisibility_check is validated against.
+factors S(n, l) out in front: d_psi_level1 builds its integer cofactor
+from the level-1 weights of (n, l) and sets the closed value against the
+direct sum. At level 0 only j = 0 is needed, D(2n, 0, 0) = S(n, l)
+q_scaled(n, 0, l), which eq104 reads. Propagating the weights upward
+through the level recurrence gives a constructive quotient
+psi(2n, m, l) / S(n, l) that never performs the division; that is what
+psi_quotient_witness returns and what psi_divisibility_check is validated
+against.
 
-d_sum_direct and the witness rows read rows: _pascal(N) holds binomial(N, k)
+d_sum_direct and the witness read rows: _pascal(N) holds binomial(N, k)
 for k = 0..N and _summands(f, n, l) holds f(n, k, l) for k = 0..n. Each of
 their sums is one sum(map(mul, ...)) over slices of those rows, so its loop
 runs in C, and inside a memo scope the direct sums of one (n, l) evaluate f
@@ -35,11 +36,11 @@ from _direct_row(f, n, t-1, l), D(n, j, t-1) for j = 0..n/2 built from one
 summand row, so even outside a scope it evaluates f n + 1 times.
 
 No other inner sum takes a binomial per term either. a_t reads its
-binomials from a Pascal row, and so do q_scaled and the level-1 witness
-row. The inner sum of _base_expanded and the central binomials of the
-level-1 cofactor vector walk instead: each factor is taken once, for the
-first term, and then stepped by its exact ratio, one small-integer product
-and one quotient a term:
+binomials from a Pascal row, and so do q_scaled, the level-1 weights and
+the lift steps. The inner sum of _base_expanded and the central binomials
+of the level-1 cofactor vector walk instead: each factor is taken once,
+for the first term, and then stepped by its exact ratio, one small-integer
+product and one quotient a term:
 
     binomial(N, k+1)    = binomial(N, k) (N-k) / (k+1)
     binomial(2w+2, w+1) = binomial(2w, w) 2(2w+1) / (w+1)
@@ -57,44 +58,47 @@ One walk, _cofactor_vector, builds the level-1 cofactor vector
 
     x[u] = (-1)^u binomial(2u, u) S(n, n+l-u),   u = 0..n,
 
-and q_scaled and the level-1 witness row are dot products over it:
+and q_scaled and the level-1 weights are dot products over it:
 
     (-1)^k q_scaled(n, k, l) = sum_{u=k}^{n} binomial(n-k, u-k) x[u],
+    w[k] = binomial(n, k) sum_{u=k}^{n} binomial(n-k, u-k) x[u]
+         = (-1)^k binomial(n, k) q_scaled(n, k, l),
 
-one Pascal row against a slice of x. The level-1 witness row holds
-D(2n, j, 1) / S(n, l) for j = 0..n, every level-1 cofactor of its (n, l).
-It weighs w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), each entry taken
-from x as above: its entry j is sum_k binomial(2n-j, k-j) w[k], one dot
-product of a Pascal row with a slice of w.
+each one Pascal row against a slice of x. Every witness above the product
+form is a dot product with the n + 1 weights of (n, l). The level-1
+cofactor, d_psi_level1's route, is
 
-Above level 1 the witness needs only entry 0 of a row, and the level
-recurrence has neither f nor l in it. So the level-L quotient is
+    D(2n, j, 1) / S(n, l) = sum_{k=j}^{n} binomial(2n-j, k-j) w[k],
 
-    psi_quotient_witness(n, L+2, l) = sum_k c_L[k] row1(n, l)[k],
+a Pascal row against the slice w[j:]. The level recurrence has neither f
+nor l in it, so the witness at level L is the lift vector d_L of n dotted
+with the same weights:
 
-where row1 is the level-1 witness row and the lift vector c_L depends on
-n and L only:
+    psi_quotient_witness(n, L+2, l) = sum_k d_L[k] w[k],
 
-    c_1 = e_0,   c_{t+1}[k] = binomial(2n, k) sum_{j<=k} c_t[j] binomial(2n-j, k-j).
+    d_0 = e_0,   d_{t+1}[k] = sum_{j<=k} binomial(2n-j, k-j) binomial(2n, j) d_t[j]
+                            = binomial(2n, k) sum_{j<=k} binomial(k, j) d_t[j],
 
-A step is n + 1 dot products, each against a column tuple
-(binomial(2n-j, k-j), j = 0..k) read from the Pascal rows, and every l of
-one n shares it.
+as binomial(2n, j) binomial(2n-j, k-j) = binomial(2n, k) binomial(k, j).
+d_0 picks w[0] = q_scaled(n, 0, l), and d_1[k] = binomial(2n, k) picks
+entry 0 of the level-1 cofactors. A step is n + 1 dot products of d with
+the Pascal rows k = 0..n, which the weights read too, and every l of one
+n shares it.
 
 The Pascal and summand rows, the direct rows, q_scaled and the level-1
-witness rows are memoized (exactnum.memoized) while a memo scope is open.
+weights are memoized (exactnum.memoized) while a memo scope is open.
 This module only declares what is memoized and never opens a scope: the
 verifier does, for a sweep, each pool worker and each run_check, and a
 library caller can open exactnum.memo_scope around a batch of calls to
 have them share their rows. The lift vectors sit in one memoized slot that
-holds a single n: its column tuples and the vectors of the levels that
-were asked for. A lift starts from the highest held vector at or below its
-target, or from c_1; the levels in between are locals, and another n
-empties the slot. A sweep to m_max thus holds m_max - 2 vectors, and a
-lift to level 3000 holds one. Of the D values, only the direct rows are
-memoized: eq13 asks for D(n, j', t-1) once for each j <= j' at its point
-(n, l, t). d_psi_level1 asks for each of its D values once, so a table of
-those would only hold memory.
+holds a single n: the vectors of the levels that were asked for. A lift
+starts from the highest held vector at or below its target, or from d_0;
+the levels in between are locals, and another n empties the slot. A sweep
+to m_max thus holds m_max - 1 vectors, and a lift to level 3000 holds one.
+Of the D values, only the direct rows are memoized: eq13 asks for
+D(n, j', t-1) once for each j <= j' at its point (n, l, t). d_psi_level1
+asks for each of its D values once, so a table of those would only hold
+memory.
 """
 
 from __future__ import annotations
@@ -156,7 +160,9 @@ def unit_summand(n: int, k: int, l: int) -> int:
     return 1
 
 
-def _check_window(n: int, j: int) -> None:
+def _check_window(n: int, j: int, l: int) -> None:
+    if l < 0:
+        raise ValueError(f"second super Catalan index must be non-negative, got {l}")
     if n < 0:
         raise ValueError(f"sum length must be non-negative, got {n}")
     if j < 0 or 2 * j > n:
@@ -182,7 +188,7 @@ def _direct(fs: tuple[int, ...], n: int, j: int, t: int) -> int:
 
 def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     """Evaluate D(n, j, t) for summand f by its defining single sum."""
-    _check_window(n, j)
+    _check_window(n, j, l)
     if t < 0:
         raise ValueError(f"level must be non-negative, got {t}")
     return _direct(_summands(f, n, l), n, j, t)
@@ -201,7 +207,7 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
     Only defined for t >= 1; the t = 0 layer has no level below it and is
     covered by d_sum_direct and d_sum_base instead.
     """
-    _check_window(n, j)
+    _check_window(n, j, l)
     if t < 1:
         raise ValueError(f"level recurrence needs t >= 1, got {t}")
     below = _direct_row(f, n, t - 1, l)
@@ -211,7 +217,7 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
 
 def a_t(f: Summand, n: int, t: int, l: int) -> int:
     """Windowed sum a_t(n) = sum_{k=t}^{n-t} binomial(n-2t, k-t) f(n, k, l)."""
-    _check_window(n, t)
+    _check_window(n, t, l)
     return sum(map(mul, _pascal(n - 2 * t), map(f, repeat(n), range(t, n - t + 1), repeat(l))))
 
 
@@ -239,7 +245,7 @@ def d_sum_base(f: Summand, n: int, j: int, l: int) -> int:
     evaluated and compared on every call so a drift in either one is caught
     immediately.
     """
-    _check_window(n, j)
+    _check_window(n, j, l)
     windowed = _base_windowed(f, n, j, l)
     expanded = _base_expanded(f, n, j, l)
     if windowed != expanded:
@@ -251,7 +257,7 @@ def d_sum_base(f: Summand, n: int, j: int, l: int) -> int:
 
 def _cofactor_vector(n: int, l: int) -> list[int]:
     # x[u] = (-1)^u binomial(2u, u) S(n, n+l-u) for u = 0..n, the central
-    # binomial walked: the one walk that q_scaled and the level-1 row read
+    # binomial walked: the one walk that q_scaled and the level-1 weights read
     x, c = [], 1
     for u in range(n + 1):
         v = c * super_catalan(n, n + l - u)
@@ -292,13 +298,14 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
 
     The cofactor sum_u (-1)^u binomial(2n-j, u) binomial(n, j+u)
     q_scaled(n, j+u, l) is an integer built without dividing, so it is a
-    constructive witness that S(n, l) divides the level-1 layer; it is read
-    from the level-1 witness row of (n, l), which holds it with the sign
-    (-1)^j. The reconstructed value is cross-checked against the direct
-    evaluation on every call, and the direct value is what comes back.
+    constructive witness that S(n, l) divides the level-1 layer. Taken with
+    the sign (-1)^j, it is one dot product: the Pascal row of 2n - j against
+    the level-1 weights w[j:] of (n, l). The reconstructed value is
+    cross-checked against the direct evaluation on every call, and the
+    direct value is what comes back.
     """
     _check_cofactor_index(n, j, l)
-    signed = _level1_row(n, l)[j]
+    signed = sum(map(mul, _pascal(2 * n - j), _level1_weights(n, l)[j:]))
     closed = super_catalan(n, l) * signed
     direct = d_sum_direct(psi_summand, 2 * n, j, 1, l)
     if closed != direct:
@@ -308,65 +315,56 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     return direct, -signed if j & 1 else signed
 
 
-def _weigh(n: int, w: list[int]) -> tuple[int, ...]:
-    # entry j is sum_{k=j}^{n} binomial(2n-j, k-j) w[k]
-    return tuple(sum(map(mul, _pascal(2 * n - j), w[j:])) for j in range(n + 1))
-
-
 @memoized
-def _level1_row(n: int, l: int) -> tuple[int, ...]:
+def _level1_weights(n: int, l: int) -> tuple[int, ...]:
     # w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), each q from the one x
     x = _cofactor_vector(n, l)
-    return _weigh(n, [b * sum(map(mul, _pascal(n - k), x[k:]))
-                      for k, b in enumerate(_pascal(n))])
+    return tuple(b * sum(map(mul, _pascal(n - k), x[k:]))
+                 for k, b in enumerate(_pascal(n)))
 
 
 @memoized
 def _lifts() -> list:
-    # [(n, columns, {level: c})]: the lift vectors of the n lifted last, one
-    # per level asked for, and the column tuples their steps read. Memoized
-    # on no arguments, so an open scope holds one slot and a bare call gets
-    # a fresh one, which goes with it. Threads that share a scope may
-    # overwrite each other's n; each still returns its own vector
-    return [(None, (), {})]
+    # [(n, {level: d})]: the lift vectors of the n lifted last, one per level
+    # asked for. Memoized on no arguments, so an open scope holds one slot
+    # and a bare call gets a fresh one, which goes with it. Threads that
+    # share a scope may overwrite each other's n; each still returns its own
+    # vector
+    return [(None, {})]
 
 
 def _lift(n: int, level: int) -> tuple[int, ...]:
-    # c_level, with psi_quotient_witness(n, level+2, l) = c_level dotted with
-    # the level-1 row of (n, l), for every l. A lift starts from the highest
-    # held vector of n at or below the target, or from c_1 = e_0, and keeps
-    # the target's; the vectors in between stay local.
+    # d_level, with psi_quotient_witness(n, level+2, l) = d_level dotted with
+    # the level-1 weights of (n, l), for every l. A lift starts from the
+    # highest held vector of n at or below the target, or from d_0 = e_0, and
+    # keeps the target's; the vectors in between stay local.
     slot = _lifts()
-    held, columns, vectors = slot[0]
+    held, vectors = slot[0]
     if held != n:
-        columns = tuple(tuple(_pascal(2 * n - j)[k - j] for j in range(k + 1))
-                        for k in range(n + 1))
         vectors = {}
-        slot[0] = (n, columns, vectors)
-    c = vectors.get(level)
-    if c is None:
-        top = max((t for t in vectors if t < level), default=1)
-        c = vectors.get(top, (1,) + (0,) * n)
-        wide = _pascal(2 * n)
+        slot[0] = (n, vectors)
+    d = vectors.get(level)
+    if d is None:
+        top = max((t for t in vectors if t < level), default=0)
+        d = vectors.get(top, (1,) + (0,) * n)
         for _ in range(top, level):
-            c = _lift_step(c, wide, columns)
-        vectors[level] = c
-    return c
+            d = _lift_step(d, n)
+        vectors[level] = d
+    return d
 
 
-def _lift_step(c: tuple[int, ...], wide: tuple[int, ...],
-               columns: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    # entry k is binomial(2n, k) times c[:k+1] dotted with column k
-    return tuple(b * sum(map(mul, c, col)) for b, col in zip(wide, columns))
+def _lift_step(d: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # entry k is binomial(2n, k) times d dotted with Pascal row k
+    return tuple(b * sum(map(mul, _pascal(k), d))
+                 for k, b in enumerate(_pascal(2 * n)[:n + 1]))
 
 
 def psi_quotient_witness(n: int, m: int, l: int) -> int:
     """Constructive quotient psi(2n, m, l) / S(n, l), no division performed.
 
-    m = 1 comes from the product form of the full alternating convolution,
-    m = 2 from the level-0 layer at j = 0, D(2n, 0, 0) = S(n, l)
-    q_scaled(n, 0, l), and m >= 3 from the level-1 witness row weighed by
-    the level-(m-2) lift vector of n.
+    m = 1 comes from the product form of the full alternating convolution.
+    Every m >= 2 is one dot product: the level-(m-2) lift vector of n
+    against the level-1 weights of (n, l).
     """
     if n < 0 or l < 0:
         raise ValueError(f"indices must be non-negative, got n={n}, l={l}")
@@ -374,9 +372,7 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
         raise ValueError(f"binomial power must be positive, got {m}")
     if m == 1:
         return super_catalan(n + l, n)
-    if m == 2:
-        return q_scaled(n, 0, l)
-    return sum(map(mul, _lift(n, m - 2), _level1_row(n, l)))
+    return sum(map(mul, _lift(n, m - 2), _level1_weights(n, l)))
 
 
 @dataclass(frozen=True)

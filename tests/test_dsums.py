@@ -89,6 +89,15 @@ def test_window_validation():
         d_sum_direct(psi_summand, -1, 0, 0, 0)
     with pytest.raises(ValueError):
         d_sum_direct(psi_summand, 4, 0, -1, 0)
+    # unit_summand ignores l, so only the window check stands between a
+    # negative l and a value
+    for call in (lambda: d_sum_direct(unit_summand, 4, 0, 0, -1),
+                 lambda: d_sum_step(unit_summand, 4, 0, 1, -1),
+                 lambda: a_t(unit_summand, 4, 0, -1),
+                 lambda: d_sum_base(unit_summand, 4, 0, -1)):
+        with pytest.raises(ValueError, match="second super Catalan index must be "
+                                             "non-negative, got -1"):
+            call()
 
 
 def test_q_sum_frozen_values():
@@ -260,10 +269,10 @@ def test_direct_sum_reads_its_window_of_each_row(scope):
 
 @pytest.mark.parametrize("scope", [nullcontext, lambda: memo_scope], ids=["bare", "scoped"])
 def test_lifted_witness_is_the_oracle_quotient(memo_oracle, scope):
-    # m = 3 is the level-1 row's entry 0, each m above it one more lift step
+    # m = 2 is the weights' entry 0, each m above it one more lift step
     n, l = 60, 3
     with scope():
-        for m in range(3, 9):
+        for m in range(2, 9):
             _witness_agrees_with_oracle(n, m, l)
 
 
@@ -302,17 +311,23 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
     with memo_scope:
         calls.clear()
         misses = dsums._pascal.cache_info().misses
-        # a fresh level-1 row: one S per entry of its x vector, the central
-        # binomials walked, and Pascal rows 0..2n, each built once
-        dsums._level1_row(n, l)
+        # fresh level-1 weights: one S per entry of their x vector, the
+        # central binomials walked, and Pascal rows 0..n, each built once
+        dsums._level1_weights(n, l)
         assert dict(calls) == {"super_catalan": n + 1}
-        assert dsums._pascal.cache_info().misses - misses == 2 * n + 1
+        assert dsums._pascal.cache_info().misses - misses == n + 1
         monkeypatch.setattr(dsums, "_lift_step", counting("step", dsums._lift_step))
         calls.clear()
-        # level 2: one vector step, its columns read from the Pascal rows held
+        # level 0: d_0 = e_0, no step, no q_scaled and no new Pascal row
+        psi_quotient_witness(n, 2, l)
+        assert dict(calls) == {}
+        assert dsums._pascal.cache_info().misses - misses == n + 1
+        # level 2: two vector steps from d_0, on Pascal rows 0..n and 2n
         psi_quotient_witness(n, 4, l)
-        assert dict(calls) == {"step": 1}
-        assert dsums._pascal.cache_info().misses - misses == 2 * n + 1
+        assert dict(calls) == {"step": 2}
+        assert dsums._pascal.cache_info().misses - misses == n + 2
+        held, vectors = dsums._lifts()[0]
+        assert held == n and sorted(vectors) == [0, 2]
     # the direct sums of one (2n, l), every j: one summand row, and one
     # Pascal row per distinct upper index 2n - j or 2n
     summand = counting("summand", psi_summand)
@@ -413,55 +428,58 @@ def test_a_call_outside_any_scope_takes_no_memo_lookup(memo_oracle):
 
 
 def test_level1_row_weighs_the_q_scaled_vector():
-    # the row is a unitriangular transform of w, so equal rows mean equal w:
-    # w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l)
+    # the weights are w[k] = (-1)^k binomial(n, k) q_scaled(n, k, l), and
+    # entry j of the level-1 row, d_psi_level1's cofactor up to (-1)^j, is
+    # w weighed by the Pascal row of 2n - j
     with memo_scope:
         for n in range(31):
             for l in range(6):
-                w = [(-1) ** k * _oracle.binom(n, k) * q_scaled(n, k, l)
-                     for k in range(n + 1)]
-                want = tuple(sum(_oracle.binom(2 * n - j, k - j) * w[k]
-                                 for k in range(j, n + 1)) for j in range(n + 1))
-                assert dsums._level1_row(n, l) == want
+                w = tuple((-1) ** k * _oracle.binom(n, k) * q_scaled(n, k, l)
+                          for k in range(n + 1))
+                assert dsums._level1_weights(n, l) == w
+                for j in range(n + 1):
+                    entry = sum(_oracle.binom(2 * n - j, k - j) * w[k]
+                                for k in range(j, n + 1))
+                    assert d_psi_level1(n, j, l)[1] == (-1) ** j * entry
 
 
 @pytest.mark.parametrize("scope", [nullcontext, lambda: memo_scope], ids=["bare", "scoped"])
 def test_level1_row_entries_are_the_oracle_quotients(memo_oracle, scope):
     n, l = 60, 3
     with scope():
-        row = dsums._level1_row(n, l)
-    assert len(row) == n + 1
-    for j, entry in enumerate(row):
+        cofactors = [d_psi_level1(n, j, l)[1] for j in range(n + 1)]
+    for j, cofactor in enumerate(cofactors):
         quotient, remainder = divmod(_oracle.d_direct(_oracle.F_psi, 2 * n, j, 1, l),
                                      _oracle.S(n, l))
         assert remainder == 0
-        assert entry == quotient
+        assert (-1) ** j * cofactor == quotient
 
 
 def test_a_lift_starts_from_the_highest_held_vector(monkeypatch):
     n = 5
-    bare = {level: dsums._lift(n, level) for level in range(1, 8)}
+    bare = {level: dsums._lift(n, level) for level in range(8)}
     # the step's definition, by the oracle's binomials
-    assert bare[1] == (1,) + (0,) * n
-    for level in range(1, 7):
-        c = bare[level]
+    assert bare[0] == (1,) + (0,) * n
+    for level in range(7):
+        d = bare[level]
         assert bare[level + 1] == tuple(
-            _oracle.binom(2 * n, k) * sum(c[j] * _oracle.binom(2 * n - j, k - j)
-                                          for j in range(k + 1))
+            sum(_oracle.binom(2 * n - j, k - j) * _oracle.binom(2 * n, j) * d[j]
+                for j in range(k + 1))
             for k in range(n + 1))
     steps = []
     step = dsums._lift_step
     monkeypatch.setattr(dsums, "_lift_step", lambda *args: steps.append(1) or step(*args))
     with memo_scope:
-        assert dsums._lift(n, 4) == bare[4]  # 3 steps from c_1
+        assert dsums._lift(n, 4) == bare[4]  # 4 steps from d_0
         assert dsums._lift(n, 6) == bare[6]  # 2 from level 4
-        assert dsums._lift(n, 3) == bare[3]  # 2 from c_1
+        assert dsums._lift(n, 3) == bare[3]  # 3 from d_0
         assert dsums._lift(n, 5) == bare[5]  # 1 from level 4
         assert dsums._lift(n, 6) == bare[6]  # held
-        assert len(steps) == 3 + 2 + 2 + 1
-        held, _, vectors = dsums._lifts()[0]
-        assert held == n and vectors == {level: bare[level] for level in (3, 4, 5, 6)}
+        assert dsums._lift(n, 0) == bare[0]  # d_0 itself, no step
+        assert len(steps) == 4 + 2 + 3 + 1
+        held, vectors = dsums._lifts()[0]
+        assert held == n and vectors == {level: bare[level] for level in (0, 3, 4, 5, 6)}
         dsums._lift(n + 1, 2)  # another n empties the slot
-        held, _, vectors = dsums._lifts()[0]
+        held, vectors = dsums._lifts()[0]
         assert held == n + 1 and list(vectors) == [2]
-        assert len(steps) == 3 + 2 + 2 + 1 + 1
+        assert len(steps) == 4 + 2 + 3 + 1 + 2

@@ -571,30 +571,30 @@ def _rows_in(value):
             yield from _rows_in(item)
 
 
-def _lifted_row(n, l, level):
-    # D(2n, j, level) / S(n, l), j = 0..n, lifted row by row from level 1
-    row = dsums._level1_row(n, l)
-    for _ in range(1, level):
-        row = tuple(sum(_oracle.binom(2 * n - j, k - j) * _oracle.binom(2 * n, k) * row[k]
-                        for k in range(j, n + 1)) for j in range(n + 1))
-    return row
+def _level_row(n, l, level):
+    # D(2n, j, level) / S(n, l), j = 0..n, by the oracle's direct sums
+    return tuple(_oracle.d_direct(_oracle.F_psi, 2 * n, j, level, l) // _oracle.S(n, l)
+                 for j in range(n + 1))
 
 
-def test_a_thm3_sweep_holds_the_lift_vectors_of_one_n():
+def test_a_thm3_sweep_holds_the_lift_vectors_of_one_n(memo_oracle):
     grid = GridBounds(n_max=6, l_max=3, m_max=8)
-    # n >= 2 and level >= 2, where no Pascal or level-1 row equals a lift
-    # vector or a lifted row
-    vectors = {n: {dsums._lift(n, level) for level in range(2, 7)} for n in range(2, 7)}
-    rows = {_lifted_row(n, l, level)
-            for n in range(2, 7) for l in range(4) for level in range(2, 7)}
+    # n >= 2 and level >= 1, where no Pascal row or weight vector equals a
+    # lift vector or a row of D values
+    vectors = {n: {dsums._lift(n, level) for level in range(1, 7)} for n in range(2, 7)}
+    rows = {_level_row(n, l, level)
+            for n in range(2, 7) for l in range(4) for level in range(1, 7)}
     with memo_scope:
         verifier._sweep_identity(get_identity("thm3"), grid)
         held = [row for table in exactnum._tables for value in table.values()
                 for row in _rows_in(value)]
         assert [n for n in vectors if any(c in held for c in vectors[n])] == [6]
+        n, levels = dsums._lifts()[0]
+        assert n == 6 and sorted(levels) == list(range(7))  # m = 2..8
         assert all(c in held for c in vectors[6])
         assert not any(row in held for row in rows)
-        assert dsums.q_scaled.cache_info().currsize <= 7 * 4  # one per (n, l)
+        assert dsums._level1_weights.cache_info().currsize == 7 * 4  # one per (n, l)
+        assert dsums.q_scaled.cache_info().currsize == 0
 
 
 def test_run_check_evaluates_inside_a_memo_scope(monkeypatch):
@@ -646,11 +646,12 @@ def test_vonszily_rows_fail_when_the_factorial_route_drifts(monkeypatch):
 
 
 def test_witness_rows_fail_when_the_level1_route_drifts(monkeypatch):
-    # entry 0 of every level-1 row off by one: the lift carries it to entry 0
-    # of every level, while eq104 reaches q_scaled by its own walk
-    level1 = dsums._level1_row
-    monkeypatch.setattr(dsums, "_level1_row",
-                        lambda n, l: (level1(n, l)[0] + 1,) + level1(n, l)[1:])
+    # entry 0 of the level-1 weights off by one: of the level-1 cofactors
+    # only j = 0 reads w[0], every lift vector has d_L[0] = 1, so every thm3
+    # row with m >= 2 reads it, and eq104 reaches q_scaled by its own walk
+    weights = dsums._level1_weights
+    monkeypatch.setattr(dsums, "_level1_weights",
+                        lambda n, l: (weights(n, l)[0] + 1,) + weights(n, l)[1:])
     result = run_check("dlevel1", n=3, l=2, t=0)
     assert result.status == "fail"
     assert result.reason.startswith("IntegrityError: closed level-1 form disagrees "
@@ -659,29 +660,64 @@ def test_witness_rows_fail_when_the_level1_route_drifts(monkeypatch):
     grid = GridBounds(n_max=4, l_max=2, m_max=5)
     report = sweep(names, grid)
     for r in report.results:
-        drifted = (r.identity, r.t) == ("dlevel1", 0) or r.identity == "thm3" and r.m >= 3
+        drifted = (r.identity, r.t) == ("dlevel1", 0) or r.identity == "thm3" and r.m >= 2
         assert r.status == ("fail" if drifted else "pass"), r
-    # j = 0, and m = 3..5, at each of the 15 (n, l)
-    assert report.failed == 15 + 15 * 3
-    monkeypatch.setattr(dsums, "_level1_row", level1)
+    # j = 0, and m = 2..5, at each of the 15 (n, l)
+    assert report.failed == 15 + 15 * 4
+    monkeypatch.setattr(dsums, "_level1_weights", weights)
     assert sweep(names, grid).failed == 0
 
 
 def test_witness_fails_when_the_lift_step_drifts(monkeypatch):
-    # entry 0 of every lift step off by one: m = 3 reads c_1 = e_0 and takes
-    # no step, while dlevel1 and eq104 read no lift vector
+    # entry n of every lift step off by one: m = 2 reads d_0 = e_0 and takes
+    # no step, while dlevel1 and eq104 read no lift vector. A step maps e_n
+    # to binomial(2n, n) e_n, so the witness moves by a positive multiple of
+    # w[n] = (-1)^n binomial(2n, n) S(n, l), which is never 0; entry 0 would
+    # move it by w[0] at m = 3, which is 0 at (n, l) = (1, 1)
     step = dsums._lift_step
     monkeypatch.setattr(dsums, "_lift_step",
-                        lambda *args: (lambda c: (c[0] + 1,) + c[1:])(step(*args)))
+                        lambda *args: (lambda d: d[:-1] + (d[-1] + 1,))(step(*args)))
     names = ["dlevel1", "eq104", "thm3"]
     grid = GridBounds(n_max=4, l_max=2, m_max=5)
     report = sweep(names, grid)
     for r in report.results:
-        drifted = r.identity == "thm3" and r.m >= 4
+        drifted = r.identity == "thm3" and r.m >= 3
         assert r.status == ("fail" if drifted else "pass"), r
-    # m = 4 and 5 at each of the 15 (n, l)
-    assert report.failed == 15 * 2
+    # m = 3, 4 and 5 at each of the 15 (n, l)
+    assert report.failed == 15 * 3
     monkeypatch.setattr(dsums, "_lift_step", step)
+    assert sweep(names, grid).failed == 0
+
+
+def test_only_eq104_rows_fail_when_q_scaled_drifts(monkeypatch):
+    # eq104 reads q_scaled(n, 0, l); thm3 and dlevel1 take the level-1
+    # weights, which walk the cofactor vector without q_scaled
+    q_scaled = dsums.q_scaled
+    monkeypatch.setattr(dsums, "q_scaled", lambda n, s, l: q_scaled(n, s, l) + 1)
+    names = ["dlevel1", "eq104", "thm3"]
+    grid = GridBounds(n_max=4, l_max=2, m_max=4)
+    report = sweep(names, grid)
+    for r in report.results:
+        assert r.status == ("fail" if r.identity == "eq104" else "pass"), r
+    assert report.failed == 15  # every (n, l)
+    monkeypatch.setattr(dsums, "q_scaled", q_scaled)
+    assert sweep(names, grid).failed == 0
+
+
+def test_thm2_and_eq17_rows_fail_when_a_t_drifts(monkeypatch):
+    # thm2 reads a_t against phi; eq17 reads it in the windowed regrouping,
+    # which d_sum_base sets against the expanded one; eq18 takes psi_t and
+    # no a_t
+    a_t = dsums.a_t
+    monkeypatch.setattr(dsums, "a_t", lambda f, n, t, l: a_t(f, n, t, l) + 1)
+    names = ["eq17", "eq18", "thm2"]
+    grid = GridBounds(n_max=4, l_max=2)
+    report = sweep(names, grid)
+    by_status = Counter((r.identity, r.status) for r in report.results)
+    assert by_status == {("thm2", "fail"): 45, ("eq17", "fail"): 27, ("eq18", "pass"): 45}
+    assert all(r.reason.startswith("IntegrityError: base-layer regroupings disagree")
+               for r in report.results if r.identity == "eq17")
+    monkeypatch.setattr(dsums, "a_t", a_t)
     assert sweep(names, grid).failed == 0
 
 
