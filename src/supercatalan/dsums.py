@@ -27,13 +27,23 @@ psi_quotient_witness returns and what psi_divisibility_check is validated
 against.
 
 d_sum_direct and the witness read rows: _pascal(N) holds binomial(N, k)
-for k = 0..N and _summands(f, n, l) holds f(n, k, l) for k = 0..n. Each of
-their sums is one sum(map(mul, ...)) over slices of those rows, so its loop
-runs in C, and inside a memo scope the direct sums of one (n, l) evaluate f
-only n + 1 times, whatever j and t they take. Outside a scope each call
-builds the full rows and keeps nothing. d_sum_step reads the level below
-from _direct_row(f, n, t-1, l), D(n, j, t-1) for j = 0..n/2 built from one
-summand row, so even outside a scope it evaluates f n + 1 times.
+for k = 0..N. A direct sum is one dot product, the weight row
+
+    Q(n, j, t)[u] = binomial(n-j, u) binomial(n-j, j+u) binomial(n, j+u)^t,
+
+u = 0..n-2j, against the window [j, n-j] of the summand row f(n, k, l),
+k = 0..n. It is the defining single sum regrouped by associativity: the
+three factors that depend on n, j and t alone are multiplied once, when Q
+is built from slices of Pascal rows, and every l and summand shares that
+Q, so a term takes one multiply. d_sum_step is one dot product too, the
+step row
+
+    P(n, j)[u] = binomial(n, j+u) binomial(n-j, u),   u = 0..(n-2j)//2,
+
+against D(n, j', t-1), j' = j..n/2, read from _direct_row(f, n, t-1, l),
+which builds the level below from one summand row, so even outside a
+scope a step evaluates f n + 1 times. Each dot product is one
+sum(map(mul, ...)), so its loop runs in C.
 
 No other inner sum takes a binomial per term either. a_t reads its
 binomials from a Pascal row, and so do q_scaled, the level-1 weights and
@@ -47,7 +57,7 @@ product and one quotient a term:
 
 Each walk is inline, since at the lengths the sweeps run a generator per
 factor costs about as much as the binomial it replaces. The outer loops of
-d_sum_step and the base regroupings take binomial() per term.
+the base regroupings take binomial() per term.
 
 d_sum_base plays a walk (_base_expanded) against rows (a_t under
 _base_windowed). a_t and the regroupings call f directly, so eq17 plays
@@ -85,20 +95,26 @@ entry 0 of the level-1 cofactors. A step is n + 1 dot products of d with
 the Pascal rows k = 0..n, which the weights read too, and every l of one
 n shares it.
 
-The Pascal and summand rows, the direct rows, q_scaled and the level-1
-weights are memoized (exactnum.memoized) while a memo scope is open.
-This module only declares what is memoized and never opens a scope: the
-verifier does, for a sweep, each pool worker and each run_check, and a
-library caller can open exactnum.memo_scope around a batch of calls to
-have them share their rows. The lift vectors sit in one memoized slot that
-holds a single n: the vectors of the levels that were asked for. A lift
-starts from the highest held vector at or below its target, or from d_0;
-the levels in between are locals, and another n empties the slot. A sweep
-to m_max thus holds m_max - 1 vectors, and a lift to level 3000 holds one.
-Of the D values, only the direct rows are memoized: eq13 asks for
-D(n, j', t-1) once for each j <= j' at its point (n, l, t). d_psi_level1
-asks for each of its D values once, so a table of those would only hold
-memory.
+The Pascal rows, the direct rows, q_scaled and the level-1 weights are
+memoized (exactnum.memoized) while a memo scope is open. This module only
+declares what is memoized and never opens a scope: the verifier does, for
+a sweep, each pool worker and each run_check, and a library caller can
+open exactnum.memo_scope around a batch of calls to have them share their
+rows. The rows that go with one n are held for one n at a time, in one
+memoized slot per kind: the summand rows f(n, k, l) of every f and l, the
+weight rows Q(n, j, t), the step rows P(n, j), and the lift vectors of the
+levels that were asked for. Another n empties the slot of its kind only,
+so the direct sums of length 2n that d_psi_level1 takes and the witness's
+lift vectors of n do not evict each other. A sweep runs its points in
+ascending n, so inside a scope the direct sums of one (n, l) evaluate f
+n + 1 times, whatever j and t they take; outside a scope each call builds
+its rows and keeps nothing. A lift starts from the highest held vector at
+or below its target, or from d_0; the levels in between are locals. A
+sweep to m_max thus holds m_max - 1 vectors, and a lift to level 3000
+holds one. Of the D values, only the direct rows are memoized: eq13 asks
+for D(n, j', t-1) once for each j <= j' at its point (n, l, t).
+d_psi_level1 asks for each of its D values once, so a table of those
+would only hold memory.
 """
 
 from __future__ import annotations
@@ -132,8 +148,8 @@ __all__ = [
 ]
 
 # A summand maps (n, k, l) to an integer and must be pure: the engine may
-# re-evaluate it freely, and inside a memo scope it keeps the row
-# f(n, k, l), k = 0..n, keyed by f itself.
+# re-evaluate it freely, and inside a memo scope it keeps the rows
+# f(n, k, l), k = 0..n, of one n, keyed by f itself.
 Summand = Callable[[int, int, int], int]
 
 
@@ -144,8 +160,35 @@ def _pascal(N: int) -> tuple[int, ...]:
 
 
 @memoized
-def _summands(f: Summand, n: int, l: int) -> tuple[int, ...]:
-    """f(n, k, l) for k = 0..n."""
+def _slot(kind: str) -> list:
+    # [(n, {key: row})]: the rows of one kind for the n asked for last.
+    # Memoized on the kind, so an open scope holds one slot per kind and a
+    # bare call gets a fresh one, which goes with it. Threads that share a
+    # scope may overwrite each other's n; each still reads its own rows
+    return [(None, {})]
+
+
+def _rows(kind: str, n: int) -> dict:
+    # the held rows of kind for n; asking for another n empties the slot
+    slot = _slot(kind)
+    held, rows = slot[0]
+    if held != n:
+        rows = {}
+        slot[0] = (n, rows)
+    return rows
+
+
+def _held(kind: str, build: Callable, n: int, *key) -> tuple[int, ...]:
+    # build(n, *key), kept in the slot of kind while n is its n
+    rows = _rows(kind, n)
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = build(n, *key)
+    return row
+
+
+def _summand_row(n: int, f: Summand, l: int) -> tuple[int, ...]:
+    # f(n, k, l) for k = 0..n
     return tuple(map(f, repeat(n), range(n + 1), repeat(l)))
 
 
@@ -174,16 +217,22 @@ def _check_cofactor_index(n: int, s: int, l: int) -> None:
         raise ValueError(f"requires n, l >= 0 and 0 <= s <= n, got n={n}, s={s}, l={l}")
 
 
-def _direct(fs: tuple[int, ...], n: int, j: int, t: int) -> int:
-    # D(n, j, t) from the summand row fs. k = j+u runs over the window
-    # [j, n-j]; binomial(n-j, u) and binomial(n-j, k) are slices of one
+def _direct_weights(n: int, j: int, t: int) -> tuple[int, ...]:
+    # Q(n, j, t)[u] = binomial(n-j, u) binomial(n-j, j+u) binomial(n, j+u)^t
+    # for u = 0..n-2j: the weights of D(n, j, t), every factor a slice of a
     # Pascal row
     inner, window = _pascal(n - j), slice(j, n - j + 1)
-    terms = map(mul, map(mul, inner, inner[window]), fs[window])
+    row = map(mul, inner, inner[window])
     if t:
         c = _pascal(n)[window]
-        terms = map(mul, terms, c if t == 1 else map(pow, c, repeat(t)))
-    return sum(terms)
+        row = map(mul, row, c if t == 1 else map(pow, c, repeat(t)))
+    return tuple(row)
+
+
+def _direct(fs: tuple[int, ...], n: int, j: int, t: int) -> int:
+    # D(n, j, t): the weights Q(n, j, t) against the window [j, n-j] of the
+    # summand row fs
+    return sum(map(mul, _held("direct", _direct_weights, n, j, t), fs[j:n - j + 1]))
 
 
 def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
@@ -191,14 +240,19 @@ def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j, l)
     if t < 0:
         raise ValueError(f"level must be non-negative, got {t}")
-    return _direct(_summands(f, n, l), n, j, t)
+    return _direct(_held("summand", _summand_row, n, f, l), n, j, t)
 
 
 @memoized
 def _direct_row(f: Summand, n: int, t: int, l: int) -> tuple[int, ...]:
     """D(n, j, t) for j = 0..n//2, one summand row read for all of them."""
-    fs = _summands(f, n, l)
+    fs = _held("summand", _summand_row, n, f, l)
     return tuple(_direct(fs, n, j, t) for j in range(n // 2 + 1))
+
+
+def _step_weights(n: int, j: int) -> tuple[int, ...]:
+    # P(n, j)[u] = binomial(n, j+u) binomial(n-j, u) for u = 0..(n-2j)//2
+    return tuple(map(mul, _pascal(n)[j:n // 2 + 1], _pascal(n - j)))
 
 
 def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
@@ -210,9 +264,7 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j, l)
     if t < 1:
         raise ValueError(f"level recurrence needs t >= 1, got {t}")
-    below = _direct_row(f, n, t - 1, l)
-    return sum(binomial(n, j + u) * binomial(n - j, u) * below[j + u]
-               for u in range((n - 2 * j) // 2 + 1))
+    return sum(map(mul, _held("step", _step_weights, n, j), _direct_row(f, n, t - 1, l)[j:]))
 
 
 def a_t(f: Summand, n: int, t: int, l: int) -> int:
@@ -323,26 +375,12 @@ def _level1_weights(n: int, l: int) -> tuple[int, ...]:
                  for k, b in enumerate(_pascal(n)))
 
 
-@memoized
-def _lifts() -> list:
-    # [(n, {level: d})]: the lift vectors of the n lifted last, one per level
-    # asked for. Memoized on no arguments, so an open scope holds one slot
-    # and a bare call gets a fresh one, which goes with it. Threads that
-    # share a scope may overwrite each other's n; each still returns its own
-    # vector
-    return [(None, {})]
-
-
 def _lift(n: int, level: int) -> tuple[int, ...]:
     # d_level, with psi_quotient_witness(n, level+2, l) = d_level dotted with
     # the level-1 weights of (n, l), for every l. A lift starts from the
     # highest held vector of n at or below the target, or from d_0 = e_0, and
     # keeps the target's; the vectors in between stay local.
-    slot = _lifts()
-    held, vectors = slot[0]
-    if held != n:
-        vectors = {}
-        slot[0] = (n, vectors)
+    vectors = _rows("lift", n)
     d = vectors.get(level)
     if d is None:
         top = max((t for t in vectors if t < level), default=0)

@@ -278,8 +278,9 @@ def test_lifted_witness_is_the_oracle_quotient(memo_oracle, scope):
 
 def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
     # a binomial factor is taken once at the start of its walk; the terms
-    # follow by exact ratios. The outer sums of d_sum_step and d_sum_base
-    # take their own factors per term, each term an inner sum.
+    # follow by exact ratios. The outer sums of d_sum_base take their own
+    # factors per term, each term an inner sum; d_sum_step reads its
+    # factors from the Pascal rows.
     calls = Counter()
 
     def counting(name, fn):
@@ -296,7 +297,7 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
         for call, most in ((lambda: d_sum_direct(psi_summand, 80, j, 2, 3), 3),
                            (lambda: a_t(psi_summand, 80, j, 3), 3),
                            (lambda: d_sum_base(psi_summand, 80, j, 3), 4 * outer),
-                           (lambda: d_sum_step(psi_summand, 80, j, 2, 3), 5 * outer)):
+                           (lambda: d_sum_step(psi_summand, 80, j, 2, 3), 0)):
             calls.clear()
             call()
             assert sum(calls.values()) <= most, dict(calls)
@@ -326,7 +327,7 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
         psi_quotient_witness(n, 4, l)
         assert dict(calls) == {"step": 2}
         assert dsums._pascal.cache_info().misses - misses == n + 2
-        held, vectors = dsums._lifts()[0]
+        held, vectors = dsums._slot("lift")[0]
         assert held == n and sorted(vectors) == [0, 2]
     # the direct sums of one (2n, l), every j: one summand row, and one
     # Pascal row per distinct upper index 2n - j or 2n
@@ -477,9 +478,9 @@ def test_a_lift_starts_from_the_highest_held_vector(monkeypatch):
         assert dsums._lift(n, 6) == bare[6]  # held
         assert dsums._lift(n, 0) == bare[0]  # d_0 itself, no step
         assert len(steps) == 4 + 2 + 3 + 1
-        held, vectors = dsums._lifts()[0]
+        held, vectors = dsums._slot("lift")[0]
         assert held == n and vectors == {level: bare[level] for level in (0, 3, 4, 5, 6)}
         dsums._lift(n + 1, 2)  # another n empties the slot
-        held, vectors = dsums._lifts()[0]
+        held, vectors = dsums._slot("lift")[0]
         assert held == n + 1 and list(vectors) == [2]
         assert len(steps) == 4 + 2 + 3 + 1 + 2

@@ -589,7 +589,7 @@ def test_a_thm3_sweep_holds_the_lift_vectors_of_one_n(memo_oracle):
         held = [row for table in exactnum._tables for value in table.values()
                 for row in _rows_in(value)]
         assert [n for n in vectors if any(c in held for c in vectors[n])] == [6]
-        n, levels = dsums._lifts()[0]
+        n, levels = dsums._slot("lift")[0]
         assert n == 6 and sorted(levels) == list(range(7))  # m = 2..8
         assert all(c in held for c in vectors[6])
         assert not any(row in held for row in rows)
@@ -686,6 +686,121 @@ def test_witness_fails_when_the_lift_step_drifts(monkeypatch):
     # m = 3, 4 and 5 at each of the 15 (n, l)
     assert report.failed == 15 * 3
     monkeypatch.setattr(dsums, "_lift_step", step)
+    assert sweep(names, grid).failed == 0
+
+
+def _drift_entry_0(monkeypatch, name):
+    # the row builder's entry 0 off by one; returns the builder
+    build = getattr(dsums, name)
+    monkeypatch.setattr(dsums, name,
+                        lambda *args: (lambda row: (row[0] + 1,) + row[1:])(build(*args)))
+    return build
+
+
+_DIRECT_READERS = ["dlevel1", "eq12", "eq13", "eq17"]
+_DIRECT_GRID = GridBounds(n_max=4, l_max=2, m_max=5)  # levels 0..3 in eq12
+
+
+def test_every_direct_sum_moves_when_its_weight_row_drifts(monkeypatch):
+    # entry 0 of Q(n, j, t) moves D(n, j, t) by f(n, j, l), which is never 0
+    # for either summand, so every direct sum moves: the right sides of
+    # eq12, eq13 and eq17 and the direct side of dlevel1. eq13's left side
+    # reads the drifted level below through the step weights P(n, j); it
+    # moves by sum_u P(n, j)[u] f(n, j+u, l), which equals f(n, j, l) only
+    # for n < 2, where P(n, 0) = (1,)
+    weights = _drift_entry_0(monkeypatch, "_direct_weights")
+    report = sweep(_DIRECT_READERS, _DIRECT_GRID)
+    for r in report.results:
+        drifted = r.identity != "eq13" or r.n >= 2
+        assert r.status == ("fail" if drifted else "pass"), r
+        if r.identity == "dlevel1":
+            assert r.reason.startswith(f"IntegrityError: closed level-1 form disagrees "
+                                       f"at n={r.n}, j={r.t}, l={r.l}"), r
+    by_status = Counter((r.identity, r.status) for r in report.results)
+    assert by_status == {("dlevel1", "fail"): 45, ("eq12", "fail"): 60,
+                         ("eq13", "fail"): 27, ("eq13", "pass"): 18, ("eq17", "fail"): 27}
+    monkeypatch.setattr(dsums, "_direct_weights", weights)
+    assert sweep(_DIRECT_READERS, _DIRECT_GRID).failed == 0
+
+
+def test_only_eq13_rows_fail_when_the_step_row_drifts(monkeypatch):
+    # entry 0 of P(n, j) moves d_sum_step by D(n, j, t-1), which is positive
+    # for the unit summand; no other identity takes a step
+    weights = _drift_entry_0(monkeypatch, "_step_weights")
+    report = sweep(_DIRECT_READERS, _DIRECT_GRID)
+    for r in report.results:
+        assert r.status == ("fail" if r.identity == "eq13" else "pass"), r
+    assert report.failed == 45  # every eq13 point
+    monkeypatch.setattr(dsums, "_step_weights", weights)
+    assert sweep(_DIRECT_READERS, _DIRECT_GRID).failed == 0
+
+
+def test_a_sweep_holds_the_summand_and_weight_rows_of_one_n():
+    # dlevel1 sums at lengths 2n <= 12, then eq13 at n <= 6: only the rows
+    # of length 6 outlive the identity that built them
+    last, C = 6, _oracle.binom
+
+    def rows(n):
+        # the summand, Q and P rows of n with three or more entries, where
+        # none equals a Pascal row, a level-1 weight vector or a row of D
+        # values
+        summand = {tuple(f(n, k, l) for k in range(n + 1))
+                   for f in (_oracle.F_psi, _oracle.F_one) for l in range(3)}
+        direct = {tuple(C(n - j, u) * C(n - j, j + u) * C(n, j + u) ** t
+                        for u in range(n - 2 * j + 1))
+                  for j in range(n // 2 + 1) for t in range(4)}
+        step = {tuple(C(n, j + u) * C(n - j, u) for u in range((n - 2 * j) // 2 + 1))
+                for j in range(n // 2 + 1)}
+        return {row for row in summand | direct | step if len(row) >= 3}
+
+    other = set().union(*(rows(n) for n in range(13) if n != last))
+    with memo_scope:
+        assert sweep(["dlevel1", "eq13"], GridBounds(n_max=last, l_max=2)).failed == 0
+        held = {row for table in exactnum._tables for value in table.values()
+                for row in _rows_in(value) if all(type(x) is int for x in row)}
+        assert {dsums._slot(kind)[0][0] for kind in ("summand", "direct", "step")} == {last}
+        assert rows(last) <= held
+        assert not held & other
+
+
+def test_thm2_and_eq18_rows_fail_when_phi_drifts(monkeypatch):
+    # phi is the right side of thm2 and eq18, and both sides of eq64phi; a
+    # uniform drift of 1 moves eq64phi only where the two cleared
+    # coefficients differ
+    phi = supercat.phi
+    monkeypatch.setattr(supercat, "phi", lambda n, l, t: phi(n, l, t) + 1)
+    names = ["eq18", "eq22", "eq64phi", "thm2"]
+    grid = GridBounds(n_max=4, l_max=2)
+    report = sweep(names, grid)
+    for r in report.results:
+        n, l, t = r.n, r.l, r.t
+        if r.identity == "eq64phi":
+            drifted = 2 * (2 * n + 1 - 2 * t) * (2 * n + 1) != (2 * n + 2 + l - t) * (2 * l + 1)
+        else:
+            drifted = r.identity != "eq22"
+        assert r.status == ("fail" if drifted else "pass"), r
+    by_status = Counter((r.identity, r.status) for r in report.results)
+    assert by_status[("thm2", "fail")] == by_status[("eq18", "fail")] == 45
+    assert by_status[("eq22", "pass")] == 15
+    monkeypatch.setattr(supercat, "phi", phi)
+    assert sweep(names, grid).failed == 0
+
+
+def test_psi_t_rows_fail_when_psi_t_drifts(monkeypatch):
+    # eq18 and eq20 set psi_t against phi and 0; eq28 reads it on the right
+    # only, times n - t, so its full window n = t holds; thm2 reads a_t
+    psi_t = sums.psi_t
+    monkeypatch.setattr(sums, "psi_t", lambda n, t, l: psi_t(n, t, l) + 1)
+    names = ["eq18", "eq20", "eq28", "thm2"]
+    grid = GridBounds(n_max=4, l_max=2)
+    report = sweep(names, grid)
+    for r in report.results:
+        drifted = r.identity in ("eq18", "eq20") or r.identity == "eq28" and r.n != r.t
+        assert r.status == ("fail" if drifted else "pass"), r
+    by_status = Counter((r.identity, r.status) for r in report.results)
+    assert by_status == {("eq18", "fail"): 45, ("eq20", "fail"): 30, ("eq28", "fail"): 30,
+                         ("eq28", "pass"): 15, ("thm2", "pass"): 45}
+    monkeypatch.setattr(sums, "psi_t", psi_t)
     assert sweep(names, grid).failed == 0
 
 
