@@ -7,8 +7,9 @@ Three subcommands:
     sweep    like verify but machine-readable output only, explicit bounds
 
 Exit status is 0 for success, 1 when any identity check failed, 2 for
-usage errors and an --output file that cannot be written. All printed
-values are exact; rationals appear as p/q.
+usage errors, an --output file that cannot be written and a standard
+output whose reader has gone. All printed values are exact; rationals
+appear as p/q.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         value = evaluate(*(provided[flag] for flag in required))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    print(value)
+    _write_stdout(f"{value}\n")
     return 0
 
 
@@ -140,6 +141,19 @@ def _given_bounds(args: argparse.Namespace) -> dict[str, int]:
 
 def _cannot_write(path: str, exc: OSError) -> _UsageError:
     return _UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_stdout(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader has gone; with stdout on the null device, the flush
+        # at exit discards what is still buffered instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _UsageError(f"cannot write standard output: {exc.strerror}") from exc
 
 
 def _probe_output(path: str) -> None:
@@ -180,7 +194,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise _cannot_write(args.output, exc) from exc
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return 1 if report.failed else 0
 
 

@@ -40,7 +40,7 @@ step row
 
     P(n, j)[u] = binomial(n, j+u) binomial(n-j, u),   u = 0..(n-2j)//2,
 
-against D(n, j', t-1), j' = j..n/2, read from _direct_row(f, n, t-1, l),
+against D(n, j', t-1), j' = j..n/2, read from _direct_row(n, f, t-1, l),
 which builds the level below from one summand row, so even outside a
 scope a step evaluates f n + 1 times. Each dot product is one
 sum(map(mul, ...)), so its loop runs in C.
@@ -95,25 +95,26 @@ entry 0 of the level-1 cofactors. A step is n + 1 dot products of d with
 the Pascal rows k = 0..n, which the weights read too, and every l of one
 n shares it.
 
-The Pascal rows, the direct rows, q_scaled and the level-1 weights are
-memoized (exactnum.memoized) while a memo scope is open. This module only
-declares what is memoized and never opens a scope: the verifier does, for
-a sweep, each pool worker and each run_check, and a library caller can
-open exactnum.memo_scope around a batch of calls to have them share their
-rows. The rows that go with one n are held for one n at a time, in one
-memoized slot per kind: the summand rows f(n, k, l) of every f and l, the
-weight rows Q(n, j, t), the step rows P(n, j), and the lift vectors of the
-levels that were asked for. Another n empties the slot of its kind only,
-so the direct sums of length 2n that d_psi_level1 takes and the witness's
-lift vectors of n do not evict each other. A sweep runs its points in
-ascending n, so inside a scope the direct sums of one (n, l) evaluate f
-n + 1 times, whatever j and t they take; outside a scope each call builds
-its rows and keeps nothing. A lift starts from the highest held vector at
-or below its target, or from d_0; the levels in between are locals. A
-sweep to m_max thus holds m_max - 1 vectors, and a lift to level 3000
-holds one. Of the D values, only the direct rows are memoized: eq13 asks
-for D(n, j', t-1) once for each j <= j' at its point (n, l, t).
-d_psi_level1 asks for each of its D values once, so a table of those
+The Pascal rows, q_scaled and the level-1 weights are memoized
+(exactnum.memoized) while a memo scope is open. This module only declares
+what is memoized and never opens a scope: the verifier does, for a sweep,
+each pool worker and each run_check, and a library caller can open
+exactnum.memo_scope around a batch of calls to have them share their rows.
+The rows that go with one n are held for one n at a time, in one memoized
+slot per kind: the summand rows f(n, k, l) of every f and l, the weight
+rows Q(n, j, t), the step rows P(n, j), the direct rows of the levels
+below that d_sum_step reads, and the lift vectors of the levels that were
+asked for. Another n empties the slot of its kind only, so the direct sums
+of length 2n that d_psi_level1 takes and the witness's lift vectors of n
+do not evict each other. A sweep runs its points in ascending n, so inside
+a scope the direct sums of one (n, l) evaluate f n + 1 times, whatever j
+and t they take; outside a scope each call builds its rows and keeps
+nothing. A lift starts from the highest held vector at or below its
+target, or from d_0; the levels in between are locals. A sweep to m_max
+thus holds m_max - 1 vectors, and a lift to level 3000 holds one. Of the D
+values, only the direct rows are held: eq13 asks for D(n, j', t-1) once
+for each j <= j' at its point (n, l, t), and no other point reads that
+row. d_psi_level1 asks for each of its D values once, so a table of those
 would only hold memory.
 """
 
@@ -243,9 +244,8 @@ def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     return _direct(_held("summand", _summand_row, n, f, l), n, j, t)
 
 
-@memoized
-def _direct_row(f: Summand, n: int, t: int, l: int) -> tuple[int, ...]:
-    """D(n, j, t) for j = 0..n//2, one summand row read for all of them."""
+def _direct_row(n: int, f: Summand, t: int, l: int) -> tuple[int, ...]:
+    # D(n, j, t) for j = 0..n//2, one summand row read for all of them
     fs = _held("summand", _summand_row, n, f, l)
     return tuple(_direct(fs, n, j, t) for j in range(n // 2 + 1))
 
@@ -264,7 +264,8 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j, l)
     if t < 1:
         raise ValueError(f"level recurrence needs t >= 1, got {t}")
-    return sum(map(mul, _held("step", _step_weights, n, j), _direct_row(f, n, t - 1, l)[j:]))
+    below = _held("level", _direct_row, n, f, t - 1, l)
+    return sum(map(mul, _held("step", _step_weights, n, j), below[j:]))
 
 
 def a_t(f: Summand, n: int, t: int, l: int) -> int:

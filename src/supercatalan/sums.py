@@ -17,14 +17,18 @@ second S indices shifted by a, b in {0, 1}, the walk over k = t, ..., n-t
     term(k)   = (-1)^k binomial(M, j)^m S(k, l+a) S(n-k, l+b)
     term(k+1) = -term(k) ((M-j)/(j+1))^m (2k+1)(n-k+l+b) / ((k+l+a+1)(2n-2k-1))
 
-takes S values for the first term only. Every later one costs a few
-small-integer products and one exact division; an inexact step raises
+takes S values for the first term only. The step factors of all k are
+ranges, the sign folded into the odd one; map raises (M-j) and (j+1) to
+the m-th power and multiplies the factors together, so their small-integer
+arithmetic runs in C. Every later term then costs one bignum product and
+one divmod, checked on the spot: an inexact step raises
 InexactDivisionError. A weighted sum multiplies term k by an integer
-weight(k). The rational weights are index shifts: S(k, l+1) =
-2(2l+1) S(k, l) / (k+l+1), so each rational sum is one integer walk over a
-constant, 2 with a = 1 (r_sum, t_sum) or 4(2l+1) with a = b = 1
-(r_prime_sum, r_dprime_sum). r_prime_sum at l thus walks the terms of
-psi_t at l+1, but on its own walk, not by calling psi_t.
+weight, for p_sum, t_sum and r_dprime_sum a range that falls by one as k
+rises. The rational weights are index shifts:
+S(k, l+1) = 2(2l+1) S(k, l) / (k+l+1), so each rational sum is one
+integer walk over a constant, 2 with a = 1 (r_sum, t_sum) or 4(2l+1) with
+a = b = 1 (r_prime_sum, r_dprime_sum). r_prime_sum at l thus walks the terms of psi_t at l+1, but
+on its own walk, not by calling psi_t.
 
 Six of the seven are memoized (exactnum.memoized): inside a sweep or a
 run_check, identities that evaluate the same sum at the same arguments
@@ -37,40 +41,57 @@ asks for the same value twice.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
-from .exactnum import exact_div, memoized
+from .exactnum import InexactDivisionError, memoized
 from .supercat import super_catalan
 
 __all__ = ["psi", "psi_t", "p_sum", "r_sum", "r_prime_sum", "r_dprime_sum",
            "t_sum"]
 
 
-def _terms(n: int, t: int, l: int, m: int, a: int, b: int):
-    """Yield term(k) for k = t, ..., n-t, one exact division a step."""
-    term = (-1) ** t * super_catalan(t, l + a) * super_catalan(n - t, l + b)
-    yield term
-    for k in range(t, n - t):
-        j = k - t
-        num = (n - t - k) ** m * (2 * k + 1) * (n - k + l + b)
-        den = (j + 1) ** m * (k + l + a + 1) * (2 * n - 2 * k - 1)
-        term = exact_div(term * -num, den)
-        yield term
-
-
-def _windowed(n: int, t: int, l: int, weight=None, m: int = 1, a: int = 0,
-              b: int = 0) -> int:
-    """sum over the window of weight(k) term(k)."""
+def _windowed(n: int, t: int, l: int, weights: range | None = None, m: int = 1,
+              a: int = 0, b: int = 0) -> int:
+    """sum over the window of weights[k-t] term(k)."""
     if l < 0:
         raise ValueError(f"second super Catalan index must be non-negative, got {l}")
     if n < 0:
         raise ValueError(f"sum length must be non-negative, got {n}")
     if t < 0 or 2 * t > n:
         raise ValueError(f"window offset requires 0 <= 2t <= n, got t={t}, n={n}")
-    terms = _terms(n, t, l, m, a, b)
-    if weight is None:
-        return sum(terms)
-    return sum(map(mul, map(weight, range(t, n - t + 1)), terms))
+    # the factors of the step k -> k+1, k = t..n-t-1, j = k-t, M = n-2t:
+    # -(M-j)^m (2k+1)(n-k+l+b) over (j+1)^m (k+l+a+1)(2n-2k-1)
+    M = n - 2 * t
+    up, down = range(M, 0, -1), range(1, M + 1)
+    if m > 1:
+        up, down = map(pow, up, repeat(m)), map(pow, down, repeat(m))
+    nums = map(mul, map(mul, up, range(-2 * t - 1, 2 * t - 2 * n - 1, -2)),
+               range(n - t + l + b, t + l + b, -1))
+    dens = map(mul, map(mul, down, range(t + l + a + 1, n - t + l + a + 1)),
+               range(2 * n - 2 * t - 1, 2 * t, -2))
+    term = (-1) ** t * super_catalan(t, l + a) * super_catalan(n - t, l + b)
+    if weights is None:
+        total = term
+        for num, den in zip(nums, dens):
+            term, r = divmod(term * num, den)
+            if r:
+                raise _inexact(term, den, r)
+            total += term
+        return total
+    weights = iter(weights)
+    total = next(weights) * term
+    for num, den, w in zip(nums, dens, weights):
+        term, r = divmod(term * num, den)
+        if r:
+            raise _inexact(term, den, r)
+        total += w * term
+    return total
+
+
+def _inexact(q: int, den: int, r: int) -> InexactDivisionError:
+    # exact_div's error for the dividend q den + r
+    return InexactDivisionError(f"{q * den + r} is not divisible by {den} (remainder {r})")
 
 
 @memoized
@@ -90,7 +111,7 @@ def psi_t(n: int, t: int, l: int) -> int:
 @memoized
 def p_sum(n: int, t: int, l: int) -> int:
     """psi_t with the extra linear weight (n - t - k)."""
-    return _windowed(n, t, l, lambda k: n - t - k)
+    return _windowed(n, t, l, range(n - 2 * t, -1, -1))
 
 
 @memoized
@@ -107,10 +128,10 @@ def r_prime_sum(n: int, t: int, l: int) -> Fraction:
 
 def r_dprime_sum(n: int, t: int, l: int) -> Fraction:
     """r_prime_sum with the extra weight (n - k) on each term."""
-    return Fraction(_windowed(n, t, l, lambda k: n - k, a=1, b=1), 4 * (2 * l + 1))
+    return Fraction(_windowed(n, t, l, range(n - t, t - 1, -1), a=1, b=1), 4 * (2 * l + 1))
 
 
 @memoized
 def t_sum(n: int, t: int, l: int) -> Fraction:
     """psi_t with the combined weight (n-t-k)(2l+1)/(k+l+1)."""
-    return Fraction(_windowed(n, t, l, lambda k: n - t - k, a=1), 2)
+    return Fraction(_windowed(n, t, l, range(n - 2 * t, -1, -1), a=1), 2)

@@ -1,6 +1,7 @@
 """Command line behavior: computed values, sweeps, exit codes, output routing."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -207,6 +208,24 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == "28\n"
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "psi", "--n", "80", "--m", "8", "--l", "20"),
+    ("verify", "--id", "thm1", "--n-max", "2"),
+    ("sweep", "--id", "thm1", "--n-max", "2"),
+])
+def test_a_stdout_reader_that_has_gone_exits_2_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "supercatalan", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
 
 
 def test_records_are_the_same_under_python_oo():

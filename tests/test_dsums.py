@@ -358,16 +358,21 @@ def test_a_bare_step_reads_one_summand_row():
     assert calls == {200: 201}
 
 
-def test_an_eq13_sweep_builds_each_direct_row_once():
-    grid = GridBounds(n_max=8, l_max=2)
-    with memo_scope:
-        misses = dsums._direct_row.cache_info().misses
-        report = sweep(["eq13"], grid)
-        built = dsums._direct_row.cache_info().misses - misses
+def test_an_eq13_sweep_builds_each_direct_row_once(monkeypatch):
+    built = Counter()
+    direct_row = dsums._direct_row
+
+    def counting(n, f, t, l):
+        built[f, n, t, l] += 1
+        return direct_row(n, f, t, l)
+
+    monkeypatch.setattr(dsums, "_direct_row", counting)
+    report = sweep(["eq13"], GridBounds(n_max=8, l_max=2))
     assert report.failed == 0
     keys = {(f, r.n, r.t - 1, r.l) for r in report.results
             for f in (psi_summand, unit_summand)}
-    assert built == len(keys) == 2 * 9 * 3 * 3
+    assert set(built) == keys
+    assert sum(built.values()) == len(keys) == 2 * 9 * 3 * 3
 
 
 def test_closed_form_cross_checks_trip_when_direct_drifts(monkeypatch):

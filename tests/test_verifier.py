@@ -738,27 +738,29 @@ def test_only_eq13_rows_fail_when_the_step_row_drifts(monkeypatch):
 def test_a_sweep_holds_the_summand_and_weight_rows_of_one_n():
     # dlevel1 sums at lengths 2n <= 12, then eq13 at n <= 6: only the rows
     # of length 6 outlive the identity that built them
-    last, C = 6, _oracle.binom
+    last, C, fs = 6, _oracle.binom, (_oracle.F_psi, _oracle.F_one)
 
     def rows(n):
-        # the summand, Q and P rows of n with three or more entries, where
-        # none equals a Pascal row, a level-1 weight vector or a row of D
-        # values
+        # the summand, Q, P and D rows of n with three or more entries, where
+        # none equals a Pascal row or a level-1 weight vector
         summand = {tuple(f(n, k, l) for k in range(n + 1))
-                   for f in (_oracle.F_psi, _oracle.F_one) for l in range(3)}
+                   for f in fs for l in range(3)}
         direct = {tuple(C(n - j, u) * C(n - j, j + u) * C(n, j + u) ** t
                         for u in range(n - 2 * j + 1))
                   for j in range(n // 2 + 1) for t in range(4)}
         step = {tuple(C(n, j + u) * C(n - j, u) for u in range((n - 2 * j) // 2 + 1))
                 for j in range(n // 2 + 1)}
-        return {row for row in summand | direct | step if len(row) >= 3}
+        level = {tuple(_oracle.d_direct(f, n, j, t, l) for j in range(n // 2 + 1))
+                 for f in fs for l in range(3) for t in range(3)}
+        return {row for row in summand | direct | step | level if len(row) >= 3}
 
     other = set().union(*(rows(n) for n in range(13) if n != last))
     with memo_scope:
         assert sweep(["dlevel1", "eq13"], GridBounds(n_max=last, l_max=2)).failed == 0
         held = {row for table in exactnum._tables for value in table.values()
                 for row in _rows_in(value) if all(type(x) is int for x in row)}
-        assert {dsums._slot(kind)[0][0] for kind in ("summand", "direct", "step")} == {last}
+        kinds = ("summand", "direct", "step", "level")
+        assert {dsums._slot(kind)[0][0] for kind in kinds} == {last}
         assert rows(last) <= held
         assert not held & other
 
