@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields
 from functools import partial
 
-from . import __version__, dsums, sums, supercat, verifier
+from . import __version__, dsums, exactnum, sums, supercat, verifier
 
 __all__ = ["main"]
 
@@ -120,7 +120,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         value = evaluate(*(provided[flag] for flag in required))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    _write_stdout(f"{value}\n")
+    _write_stdout(f"{exactnum.decimal_text(value)}\n")
     return 0
 
 

@@ -127,9 +127,9 @@ from math import comb
 from operator import mul
 from typing import Callable
 
-from .exactnum import IntegrityError, binomial, central_binomial, memoized
-from .sums import psi
-from .supercat import super_catalan
+from .exactnum import IntegrityError, binomial, central_binomial, decimal_text, memoized
+from .sums import _check_window, psi
+from .supercat import _require_pair, super_catalan
 
 __all__ = [
     "Summand",
@@ -204,15 +204,6 @@ def unit_summand(n: int, k: int, l: int) -> int:
     return 1
 
 
-def _check_window(n: int, j: int, l: int) -> None:
-    if l < 0:
-        raise ValueError(f"second super Catalan index must be non-negative, got {l}")
-    if n < 0:
-        raise ValueError(f"sum length must be non-negative, got {n}")
-    if j < 0 or 2 * j > n:
-        raise ValueError(f"window offset requires 0 <= 2j <= n, got j={j}, n={n}")
-
-
 def _check_cofactor_index(n: int, s: int, l: int) -> None:
     if n < 0 or l < 0 or not 0 <= s <= n:
         raise ValueError(f"requires n, l >= 0 and 0 <= s <= n, got n={n}, s={s}, l={l}")
@@ -238,7 +229,7 @@ def _direct(fs: tuple[int, ...], n: int, j: int, t: int) -> int:
 
 def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     """Evaluate D(n, j, t) for summand f by its defining single sum."""
-    _check_window(n, j, l)
+    _check_window(n, j, l, "j")
     if t < 0:
         raise ValueError(f"level must be non-negative, got {t}")
     return _direct(_held("summand", _summand_row, n, f, l), n, j, t)
@@ -261,7 +252,7 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
     Only defined for t >= 1; the t = 0 layer has no level below it and is
     covered by d_sum_direct and d_sum_base instead.
     """
-    _check_window(n, j, l)
+    _check_window(n, j, l, "j")
     if t < 1:
         raise ValueError(f"level recurrence needs t >= 1, got {t}")
     below = _held("level", _direct_row, n, f, t - 1, l)
@@ -298,13 +289,13 @@ def d_sum_base(f: Summand, n: int, j: int, l: int) -> int:
     evaluated and compared on every call so a drift in either one is caught
     immediately.
     """
-    _check_window(n, j, l)
+    _check_window(n, j, l, "j")
     windowed = _base_windowed(f, n, j, l)
     expanded = _base_expanded(f, n, j, l)
     if windowed != expanded:
         raise IntegrityError(
             f"base-layer regroupings disagree at n={n}, j={j}, l={l}: "
-            f"{windowed} vs {expanded}")
+            f"{decimal_text(windowed)} vs {decimal_text(expanded)}")
     return windowed
 
 
@@ -364,7 +355,7 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     if closed != direct:
         raise IntegrityError(
             f"closed level-1 form disagrees at n={n}, j={j}, l={l}: "
-            f"{closed} vs direct {direct}")
+            f"{decimal_text(closed)} vs direct {decimal_text(direct)}")
     return direct, -signed if j & 1 else signed
 
 
@@ -405,8 +396,7 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
     Every m >= 2 is one dot product: the level-(m-2) lift vector of n
     against the level-1 weights of (n, l).
     """
-    if n < 0 or l < 0:
-        raise ValueError(f"indices must be non-negative, got n={n}, l={l}")
+    _require_pair(n, l)
     if m < 1:
         raise ValueError(f"binomial power must be positive, got {m}")
     if m == 1:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import namedtuple
+from decimal import Decimal
 from functools import wraps
 
 __all__ = [
@@ -52,8 +53,20 @@ def exact_div(a: int, b: int) -> int:
     """Divide a by b, insisting on a zero remainder."""
     q, r = divmod(a, b)
     if r:
-        raise InexactDivisionError(f"{a} is not divisible by {b} (remainder {r})")
+        raise InexactDivisionError(f"{decimal_text(a)} is not divisible by {decimal_text(b)} "
+                                   f"(remainder {decimal_text(r)})")
     return q
+
+
+def decimal_text(value) -> str:
+    """str() of an int or Fraction, also past the interpreter's int digit limit."""
+    # str() first: writing every value through Decimal cost verify_default 4.6% of its
+    # wall time, in 6 of 6 alternating pairs (2 vCPUs, Python 3.11)
+    try:
+        return str(value)
+    except ValueError:  # Decimal converts exactly and ignores the limit the process set
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def factorial(n: int) -> int:

@@ -44,22 +44,28 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mul
 
-from .exactnum import InexactDivisionError, memoized
+from .exactnum import exact_div, memoized
 from .supercat import super_catalan
 
 __all__ = ["psi", "psi_t", "p_sum", "r_sum", "r_prime_sum", "r_dprime_sum",
            "t_sum"]
 
 
-def _windowed(n: int, t: int, l: int, weights: range | None = None, m: int = 1,
-              a: int = 0, b: int = 0) -> int:
-    """sum over the window of weights[k-t] term(k)."""
+def _check_window(n: int, t: int, l: int, offset: str = "t") -> None:
+    # offset names t as the caller does: t for the sums and a_t, j for the D sums
     if l < 0:
         raise ValueError(f"second super Catalan index must be non-negative, got {l}")
     if n < 0:
         raise ValueError(f"sum length must be non-negative, got {n}")
     if t < 0 or 2 * t > n:
-        raise ValueError(f"window offset requires 0 <= 2t <= n, got t={t}, n={n}")
+        raise ValueError(f"window offset requires 0 <= 2{offset} <= n, "
+                         f"got {offset}={t}, n={n}")
+
+
+def _windowed(n: int, t: int, l: int, weights: range | None = None, m: int = 1,
+              a: int = 0, b: int = 0) -> int:
+    """sum over the window of weights[k-t] term(k)."""
+    _check_window(n, t, l)
     # the factors of the step k -> k+1, k = t..n-t-1, j = k-t, M = n-2t:
     # -(M-j)^m (2k+1)(n-k+l+b) over (j+1)^m (k+l+a+1)(2n-2k-1)
     M = n - 2 * t
@@ -75,8 +81,8 @@ def _windowed(n: int, t: int, l: int, weights: range | None = None, m: int = 1,
         total = term
         for num, den in zip(nums, dens):
             term, r = divmod(term * num, den)
-            if r:
-                raise _inexact(term, den, r)
+            if r:  # exact_div raises its error for the dividend term den + r
+                exact_div(term * den + r, den)
             total += term
         return total
     weights = iter(weights)
@@ -84,14 +90,9 @@ def _windowed(n: int, t: int, l: int, weights: range | None = None, m: int = 1,
     for num, den, w in zip(nums, dens, weights):
         term, r = divmod(term * num, den)
         if r:
-            raise _inexact(term, den, r)
+            exact_div(term * den + r, den)
         total += w * term
     return total
-
-
-def _inexact(q: int, den: int, r: int) -> InexactDivisionError:
-    # exact_div's error for the dividend q den + r
-    return InexactDivisionError(f"{q * den + r} is not divisible by {den} (remainder {r})")
 
 
 @memoized

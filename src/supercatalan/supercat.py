@@ -80,8 +80,7 @@ def phi(n: int, l: int, t: int) -> int:
     assembled numerator by the assembled denominator, not term by term, so
     a violated integrality surfaces as InexactDivisionError.
     """
-    if n < 0 or l < 0:
-        raise ValueError(f"phi indices must be non-negative, got n={n}, l={l}")
+    _require_pair(n, l)
     if not 0 <= t <= n:
         raise ValueError(f"phi window requires 0 <= t <= n, got t={t}, n={n}")
     num = (central_binomial(l) * central_binomial(t)

@@ -51,7 +51,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple
 
-from . import dsums, sums, supercat
+from . import dsums, exactnum, sums, supercat
 from .exactnum import IntegrityError, binomial, central_binomial, exact_div, memo_scope
 
 __all__ = [
@@ -236,7 +236,8 @@ def _check_vonszily(n, l, t, m):
     factorial = supercat.super_catalan_factorial(n, l)
     if factorial != ratio:
         raise IntegrityError(f"factorial route disagrees at n={n}, l={l}: "
-                             f"{factorial} vs ratio {ratio}")
+                             f"{exactnum.decimal_text(factorial)} vs ratio "
+                             f"{exactnum.decimal_text(ratio)}")
     return supercat.super_catalan_von_szily(n, l), ratio
 
 
@@ -495,17 +496,13 @@ def _evaluate(spec: IdentitySpec, point: Point) -> CheckResult:
     n, l, t, m = point
     try:
         lhs, rhs = spec.check(n, l, t, m)
+        ok = lhs != rhs if spec.relation == "remainder-nonzero" else lhs == rhs
+        return CheckResult(spec.name, n, l, t, m, exactnum.decimal_text(lhs),
+                           exactnum.decimal_text(rhs), "pass" if ok else "fail")
     except Exception as exc:
         # any error is a failed point: it must not abort a sweep or a pool
         return CheckResult(spec.name, n, l, t, m, "", "",
                            "fail", f"{type(exc).__name__}: {exc}")
-    if spec.relation == "remainder-nonzero":
-        ok = lhs != rhs
-    else:
-        ok = lhs == rhs
-    # ints and Fractions both print as exact decimal strings
-    return CheckResult(spec.name, n, l, t, m, str(lhs), str(rhs),
-                       "pass" if ok else "fail")
 
 
 def _normalize_point(spec: IdentitySpec, n, l, t, m) -> Point:

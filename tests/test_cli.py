@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from supercatalan import verifier
+from supercatalan import sums, supercat, verifier
 from supercatalan.cli import main
 from supercatalan.verifier import REGISTRY, IdentitySpec, register
 
@@ -38,6 +38,19 @@ def run_cli(capsys, *argv):
 def test_compute_values(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("argv, value, digits", [
+    (("compute", "psi", "--n", "200", "--m", "75", "--l", "0"),
+     lambda: sums.psi(200, 75, 0), 4539),
+    (("compute", "catalan", "--n", "20000"), lambda: supercat.catalan(20000), 12035),
+])
+def test_compute_prints_values_past_the_int_digit_limit(capsys, full_str, argv, value,
+                                                         digits):
+    # str() refuses more than 4,300 digits under Python's default limit
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, full_str(value()) + "\n", "")
+    assert len(out) == digits + 1
 
 
 @pytest.mark.parametrize("argv, fragment", [

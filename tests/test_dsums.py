@@ -26,7 +26,7 @@ from supercatalan.dsums import (
     unit_summand,
 )
 from supercatalan.exactnum import IntegrityError, central_binomial, memo_scope
-from supercatalan.sums import psi, psi_t
+from supercatalan.sums import p_sum, psi, psi_t, r_sum
 from supercatalan.supercat import super_catalan
 from supercatalan.verifier import GridBounds, run_check, sweep
 
@@ -89,15 +89,31 @@ def test_window_validation():
         d_sum_direct(psi_summand, -1, 0, 0, 0)
     with pytest.raises(ValueError):
         d_sum_direct(psi_summand, 4, 0, -1, 0)
-    # unit_summand ignores l, so only the window check stands between a
-    # negative l and a value
-    for call in (lambda: d_sum_direct(unit_summand, 4, 0, 0, -1),
-                 lambda: d_sum_step(unit_summand, 4, 0, 1, -1),
-                 lambda: a_t(unit_summand, 4, 0, -1),
-                 lambda: d_sum_base(unit_summand, 4, 0, -1)):
-        with pytest.raises(ValueError, match="second super Catalan index must be "
-                                             "non-negative, got -1"):
-            call()
+
+
+# (n, offset, l) -> the sum; unit_summand ignores l, so only the window
+# check stands between a negative l and a value
+@pytest.mark.parametrize("call, offset", [
+    (psi_t, "t"),
+    (p_sum, "t"),
+    (r_sum, "t"),
+    (lambda n, t, l: a_t(unit_summand, n, t, l), "t"),
+    (lambda n, j, l: d_sum_direct(unit_summand, n, j, 0, l), "j"),
+    (lambda n, j, l: d_sum_step(unit_summand, n, j, 1, l), "j"),
+    (lambda n, j, l: d_sum_base(unit_summand, n, j, l), "j"),
+], ids=["psi_t", "p_sum", "r_sum", "a_t", "d_sum_direct", "d_sum_step", "d_sum_base"])
+def test_every_window_is_checked_by_one_rule(call, offset):
+    with pytest.raises(ValueError) as exc:
+        call(4, 0, -1)
+    assert str(exc.value) == "second super Catalan index must be non-negative, got -1"
+    with pytest.raises(ValueError) as exc:
+        call(-1, 0, 0)
+    assert str(exc.value) == "sum length must be non-negative, got -1"
+    for bad in (-1, 3):
+        with pytest.raises(ValueError) as exc:
+            call(4, bad, 0)
+        assert str(exc.value) == (f"window offset requires 0 <= 2{offset} <= n, "
+                                  f"got {offset}={bad}, n=4")
 
 
 def test_q_sum_frozen_values():
@@ -196,8 +212,10 @@ def test_division_check_is_immutable():
 def test_witness_domain_validation():
     with pytest.raises(ValueError):
         psi_quotient_witness(2, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"super Catalan indices .* got \(-1, 0\)"):
         psi_quotient_witness(-1, 1, 0)
+    with pytest.raises(ValueError, match=r"super Catalan indices .* got \(2, -1\)"):
+        psi_quotient_witness(2, 3, -1)
     with pytest.raises(ValueError):
         d_psi_level1(2, 3, 0)
 

@@ -90,11 +90,35 @@ def test_binomial_matches_pascal_oracle():
             assert binomial(n, k) == _oracle.binom(n, k)
 
 
-def test_exact_div():
+BIG = 10 ** 4300  # 4,301 digits, one past str()'s default limit
+
+
+def test_exact_div(full_str):
     assert exact_div(84, 6) == 14
     assert exact_div(-20, 2) == -10
     with pytest.raises(InexactDivisionError):
         exact_div(7, 2)
+    # the message names the operands past the digit limit, not the limit
+    with pytest.raises(InexactDivisionError) as exc:
+        exact_div(-BIG - 1, 10)
+    assert str(exc.value) == f"{full_str(-BIG - 1)} is not divisible by 10 (remainder 9)"
+
+
+@pytest.mark.parametrize("value", [
+    10 ** 4299, BIG, -BIG - 7, 7 ** 6000, 0, -5,
+    Fraction(BIG + 1, 3), Fraction(-7, 3 * BIG + 1), Fraction(BIG, 3 ** 9100),
+    Fraction(6 * BIG, 3), Fraction(-10, 4),
+], ids=["int-4300", "int-4301", "negative", "int-5071", "zero", "small", "big-num",
+        "big-den", "big-both", "integral", "small-fraction"])
+def test_decimal_text_writes_what_str_writes(monkeypatch, full_str, value):
+    expected = full_str(value)
+
+    def refuse(limit):
+        raise AssertionError(f"the int digit limit was set to {limit}")
+
+    # the limit belongs to the process, so the writer must never set it
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    assert exactnum.decimal_text(value) == expected
 
 
 def test_integer_alias_is_arbitrary_precision():

@@ -111,7 +111,7 @@ def test_phi_matches_truncated_convolution():
 def test_phi_domain_errors():
     with pytest.raises(ValueError):
         phi(2, 0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"super Catalan indices .* got \(2, -1\)"):
         phi(2, -1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"super Catalan indices .* got \(-1, 0\)"):
         phi(-1, 0, 0)

@@ -511,6 +511,26 @@ def test_unexpected_exception_becomes_failure_with_reason():
         REGISTRY.pop("raises-keyerror")
 
 
+@pytest.mark.parametrize("name, n", [("eq12", 200), ("thm3", 100)])
+def test_sides_past_the_int_digit_limit_are_recorded(full_str, name, n):
+    # both left sides are psi(200, 75, 0), 4,539 digits: str() refuses
+    # them under Python's default limit of 4,300
+    result = run_check(name, n=n, l=0, m=75)
+    assert (result.status, result.reason) == ("pass", "")
+    assert result.lhs == result.rhs == full_str(sums.psi(200, 75, 0))
+    assert len(result.lhs) == 4539
+
+
+def test_a_side_that_cannot_be_written_is_a_failed_row(monkeypatch):
+    def refuse(value):
+        raise ValueError("synthetic writer failure")
+
+    monkeypatch.setattr(exactnum, "decimal_text", refuse)
+    result = run_check("symmetry", n=3, l=2)
+    assert (result.status, result.lhs, result.rhs) == ("fail", "", "")
+    assert result.reason == "ValueError: synthetic writer failure"
+
+
 def test_run_check_deep_witness_does_not_raise():
     # a fresh interpreter, so no earlier sweep has warmed the witness rows:
     # the 3000-level lift must not recurse once per level
