@@ -30,6 +30,16 @@ integer walk over a constant, 2 with a = 1 (r_sum, t_sum) or 4(2l+1) with
 a = b = 1 (r_prime_sum, r_dprime_sum). r_prime_sum at l thus walks the terms of psi_t at l+1, but
 on its own walk, not by calling psi_t.
 
+When n is even, there are no weights and a = b (psi, psi_t, r_prime_sum),
+the summand is mirror-symmetric, term(k) = term(n-k), so the walk stops
+at the middle term j = M/2 and the sum is twice the half sum less that
+term: M/2 checked steps instead of M. The other sums walk in full. At odd
+n the mirror pairs cancel, and p_sum, t_sum and r_dprime_sum carry
+weights while r_sum shifts one index only, so their summands are not
+symmetric. The vanishing at odd length (eq20) and the weight pairings
+behind eq28 and eq58 are identities the registry checks, so the walk
+does not assume them.
+
 Six of the seven are memoized (exactnum.memoized): inside a sweep or a
 run_check, identities that evaluate the same sum at the same arguments
 share one evaluation, and the memo is emptied when the sweep ends. A call
@@ -66,16 +76,20 @@ def _windowed(n: int, t: int, l: int, weights: range | None = None, m: int = 1,
               a: int = 0, b: int = 0) -> int:
     """sum over the window of weights[k-t] term(k)."""
     _check_window(n, t, l)
-    # the factors of the step k -> k+1, k = t..n-t-1, j = k-t, M = n-2t:
-    # -(M-j)^m (2k+1)(n-k+l+b) over (j+1)^m (k+l+a+1)(2n-2k-1)
     M = n - 2 * t
-    up, down = range(M, 0, -1), range(1, M + 1)
+    # an even length with no weights and a == b has term(k) == term(n-k):
+    # walk to the middle term j = M/2 and count the steps before it twice
+    half = weights is None and a == b and n % 2 == 0
+    steps = M // 2 if half else M
+    # the factors of the step k -> k+1, k = t..t+steps-1, j = k-t:
+    # -(M-j)^m (2k+1)(n-k+l+b) over (j+1)^m (k+l+a+1)(2n-2k-1)
+    up, down = range(M, M - steps, -1), range(1, steps + 1)
     if m > 1:
         up, down = map(pow, up, repeat(m)), map(pow, down, repeat(m))
-    nums = map(mul, map(mul, up, range(-2 * t - 1, 2 * t - 2 * n - 1, -2)),
-               range(n - t + l + b, t + l + b, -1))
-    dens = map(mul, map(mul, down, range(t + l + a + 1, n - t + l + a + 1)),
-               range(2 * n - 2 * t - 1, 2 * t, -2))
+    nums = map(mul, map(mul, up, range(-2 * t - 1, -2 * t - 2 * steps - 1, -2)),
+               range(n - t + l + b, n - t + l + b - steps, -1))
+    dens = map(mul, map(mul, down, range(t + l + a + 1, t + l + a + 1 + steps)),
+               range(2 * n - 2 * t - 1, 2 * n - 2 * t - 2 * steps - 1, -2))
     term = (-1) ** t * super_catalan(t, l + a) * super_catalan(n - t, l + b)
     if weights is None:
         total = term
@@ -84,7 +98,7 @@ def _windowed(n: int, t: int, l: int, weights: range | None = None, m: int = 1,
             if r:  # exact_div raises its error for the dividend term den + r
                 exact_div(term * den + r, den)
             total += term
-        return total
+        return 2 * total - term if half else total
     weights = iter(weights)
     total = next(weights) * term
     for num, den, w in zip(nums, dens, weights):

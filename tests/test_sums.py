@@ -95,7 +95,8 @@ def test_matches_oracle_at_length_200(memo_oracle):
     # from m = 6 the step divisors reach three 30-bit digits
     for m in range(1, 9):
         assert psi(200, m, 3) == _oracle.psi(200, m, 3)
-    for t, l in ((0, 0), (37, 5), (100, 2), (93, 17)):
+    # t = 99 leaves M = 2, one step of the half walk to the middle term
+    for t, l in ((0, 0), (37, 5), (100, 2), (93, 17), (99, 3)):
         _agrees_with_oracle(200, t, l)
     _agrees_with_oracle(199, 12, 4)
 
@@ -117,6 +118,34 @@ def test_each_sum_takes_at_most_two_s_values(monkeypatch):
             calls.clear()
             f(n, n // 4, 2)
             assert len(calls) <= 2, f.__name__
+
+
+@pytest.mark.parametrize("f, args, steps", [
+    # even length, no weights and equal S shifts: a mirror-symmetric
+    # summand, walked to its middle term only
+    (psi_t, (40, 7, 3), 13),
+    (r_prime_sum, (40, 7, 3), 13),
+    (psi, (40, 3, 2), 20),
+    (psi_t, (40, 20, 3), 0),
+    # odd length, weights or unequal shifts: the full walk of M = n - 2t steps
+    (psi_t, (41, 7, 3), 27),
+    (p_sum, (40, 7, 3), 26),
+    (r_sum, (40, 7, 3), 26),
+    (t_sum, (40, 7, 3), 26),
+    (r_dprime_sum, (40, 7, 3), 26),
+])
+def test_walk_takes_one_checked_step_per_term(monkeypatch, f, args, steps):
+    # every step of the walk is one divmod; a module global shadows the builtin
+    calls = []
+
+    def counting_divmod(x, y):
+        calls.append(y)
+        return divmod(x, y)
+
+    monkeypatch.setattr(sums, "divmod", counting_divmod, raising=False)
+    value = f(*args)
+    assert len(calls) == steps
+    assert value == getattr(_oracle, f.__name__)(*args)
 
 
 def _shifted(n, t, l, weight, b):
