@@ -32,35 +32,31 @@ class _UsageError(Exception):
 # grid bound names as GridBounds fields; the flags spell them --n-max etc.
 _BOUNDS = tuple(f.name for f in fields(verifier.GridBounds))
 
-# every compute parameter flag, in --help order
-_COMPUTE_FLAGS = ("n", "l", "t", "m", "j", "s")
-
-# kind -> (parameter flags, evaluator); the evaluator takes the parameters
-# positionally in the order listed, and every one of them is required
+# kind -> (parameter flags, evaluator, help note); the evaluator takes the
+# parameters positionally in the order listed, and every one is required
 _KINDS = {
-    "super-catalan": (("n", "l"), supercat.super_catalan),
-    "catalan": (("n",), supercat.catalan),
-    "psi": (("n", "m", "l"), sums.psi),
-    "psi-t": (("n", "t", "l"), sums.psi_t),
-    "phi": (("n", "l", "t"), supercat.phi),
-    "p": (("n", "t", "l"), sums.p_sum),
-    "r": (("n", "t", "l"), sums.r_sum),
-    "r-prime": (("n", "t", "l"), sums.r_prime_sum),
-    "r-dprime": (("n", "t", "l"), sums.r_dprime_sum),
-    "t-sum": (("n", "t", "l"), sums.t_sum),
-    "d-sum": (("n", "j", "t", "l"), partial(dsums.d_sum_direct, dsums.psi_summand)),
-    "q": (("n", "s", "l"), dsums.q_sum),
+    "super-catalan": (("n", "l"), supercat.super_catalan, ""),
+    "catalan": (("n",), supercat.catalan, ""),
+    "psi": (("n", "m", "l"), sums.psi, ""),
+    "psi-t": (("n", "t", "l"), sums.psi_t, ""),
+    "phi": (("n", "l", "t"), supercat.phi, "closed form of the length-2n window sum"),
+    "p": (("n", "t", "l"), sums.p_sum, ""),
+    "r": (("n", "t", "l"), sums.r_sum, ""),
+    "r-prime": (("n", "t", "l"), sums.r_prime_sum, ""),
+    "r-dprime": (("n", "t", "l"), sums.r_dprime_sum, ""),
+    "t-sum": (("n", "t", "l"), sums.t_sum, ""),
+    "d-sum": (("n", "j", "t", "l"), partial(dsums.d_sum_direct, dsums.psi_summand),
+              "level engine with the psi summand"),
+    "q": (("n", "s", "l"), dsums.q_sum, "rational level-1 kernel"),
 }
 
-_COMPUTE_EPILOG = """\
-parameters by kind (all take full, untransformed arguments unless noted):
-  super-catalan --n --l      catalan --n
-  psi --n --m --l            psi-t --n --t --l
-  phi --n --l --t            (closed form of the length-2n window sum)
-  p | r | r-prime | r-dprime | t-sum   --n --t --l
-  d-sum --n --j --t --l      (level engine with the psi summand)
-  q --n --s --l              (rational level-1 kernel)
-"""
+# every compute parameter flag, in the order the kinds first name it
+_COMPUTE_FLAGS = tuple(dict.fromkeys(flag for flags, _, _ in _KINDS.values() for flag in flags))
+
+_COMPUTE_EPILOG = "\n".join(
+    ["parameters by kind (all take full, untransformed arguments unless noted):"]
+    + [f"  {kind:15}{' '.join(f'--{flag}' for flag in flags):17}{note}".rstrip()
+       for kind, (flags, _, note) in _KINDS.items()])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    required, evaluate = _KINDS[args.kind]
+    required, evaluate, _ = _KINDS[args.kind]
     provided = {flag: getattr(args, flag) for flag in _COMPUTE_FLAGS
                 if getattr(args, flag) is not None}
     missing = [f"--{flag}" for flag in required if flag not in provided]

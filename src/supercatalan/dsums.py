@@ -128,8 +128,8 @@ from operator import mul
 from typing import Callable
 
 from .exactnum import IntegrityError, binomial, central_binomial, decimal_text, memoized
-from .sums import _check_window, psi
-from .supercat import _require_pair, super_catalan
+from .sums import _check_power, _check_window, psi
+from .supercat import _require_offset, _require_pair, super_catalan
 
 __all__ = [
     "Summand",
@@ -202,11 +202,6 @@ def psi_summand(n: int, k: int, l: int) -> int:
 def unit_summand(n: int, k: int, l: int) -> int:
     """Constant 1; turns D(n, 0, m-2) into the sum of binomial(n,k)^m."""
     return 1
-
-
-def _check_cofactor_index(n: int, s: int, l: int) -> None:
-    if n < 0 or l < 0 or not 0 <= s <= n:
-        raise ValueError(f"requires n, l >= 0 and 0 <= s <= n, got n={n}, s={s}, l={l}")
 
 
 def _direct_weights(n: int, j: int, t: int) -> tuple[int, ...]:
@@ -322,7 +317,7 @@ def q_scaled(n: int, s: int, l: int) -> int:
     and even whenever l >= 1, which is what makes the constructive
     divisibility quotients below integral.
     """
-    _check_cofactor_index(n, s, l)
+    _require_offset(n, s, l, "s")
     total = sum(map(mul, _pascal(n - s), _cofactor_vector(n, l)[s:]))
     return -total if s & 1 else total
 
@@ -348,7 +343,7 @@ def d_psi_level1(n: int, j: int, l: int) -> tuple[int, int]:
     cross-checked against the direct evaluation on every call, and the
     direct value is what comes back.
     """
-    _check_cofactor_index(n, j, l)
+    _require_offset(n, j, l, "j")
     signed = sum(map(mul, _pascal(2 * n - j), _level1_weights(n, l)[j:]))
     closed = super_catalan(n, l) * signed
     direct = d_sum_direct(psi_summand, 2 * n, j, 1, l)
@@ -397,8 +392,7 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
     against the level-1 weights of (n, l).
     """
     _require_pair(n, l)
-    if m < 1:
-        raise ValueError(f"binomial power must be positive, got {m}")
+    _check_power(m)
     if m == 1:
         return super_catalan(n + l, n)
     return sum(map(mul, _lift(n, m - 2), _level1_weights(n, l)))

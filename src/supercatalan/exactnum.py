@@ -78,12 +78,12 @@ def factorial(n: int) -> int:
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient with the windowed-sum convention.
 
-    k < 0 or k > n yields 0 so truncated sums can run over a full index
-    range without edge cases. A negative n is a caller bug and raises.
+    k < 0 yields 0, as math.comb does for k > n, so truncated sums run over
+    a full index range without edge cases. A negative n raises.
     """
     if n < 0:
         raise ValueError(f"binomial with negative upper index {n}")
-    if k < 0 or k > n:
+    if k < 0:
         return 0
     return math.comb(n, k)
 

@@ -72,6 +72,11 @@ def _check_window(n: int, t: int, l: int, offset: str = "t") -> None:
                          f"got {offset}={t}, n={n}")
 
 
+def _check_power(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"binomial power must be positive, got {m}")
+
+
 def _windowed(n: int, t: int, l: int, weights: range | None = None, m: int = 1,
               a: int = 0, b: int = 0) -> int:
     """sum over the window of weights[k-t] term(k)."""
@@ -112,8 +117,7 @@ def _windowed(n: int, t: int, l: int, weights: range | None = None, m: int = 1,
 @memoized
 def psi(n: int, m: int, l: int) -> int:
     """Alternating convolution with the binomial weight raised to the m-th power."""
-    if m < 1:
-        raise ValueError(f"binomial power must be positive, got {m}")
+    _check_power(m)
     return _windowed(n, 0, l, m=m)
 
 

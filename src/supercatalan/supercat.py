@@ -31,6 +31,13 @@ def _require_pair(n: int, l: int) -> None:
         raise ValueError(f"super Catalan indices must be non-negative, got ({n}, {l})")
 
 
+def _require_offset(n: int, t: int, l: int, offset: str = "t") -> None:
+    # offset names t as the caller does: t for phi, s for q_scaled, j for d_psi_level1
+    _require_pair(n, l)
+    if not 0 <= t <= n:
+        raise ValueError(f"offset requires 0 <= {offset} <= n, got {offset}={t}, n={n}")
+
+
 def super_catalan_ratio(n: int, l: int) -> int:
     """S(n, l) as binomial(2n,n) binomial(2l,l) / binomial(n+l,n), exactly."""
     _require_pair(n, l)
@@ -80,9 +87,7 @@ def phi(n: int, l: int, t: int) -> int:
     assembled numerator by the assembled denominator, not term by term, so
     a violated integrality surfaces as InexactDivisionError.
     """
-    _require_pair(n, l)
-    if not 0 <= t <= n:
-        raise ValueError(f"phi window requires 0 <= t <= n, got t={t}, n={n}")
+    _require_offset(n, t, l)
     num = (central_binomial(l) * central_binomial(t)
            * central_binomial(n + l - t) * central_binomial(n)
            * binomial(2 * n - 2 * t, n - t))

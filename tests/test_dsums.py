@@ -27,7 +27,7 @@ from supercatalan.dsums import (
 )
 from supercatalan.exactnum import IntegrityError, central_binomial, memo_scope
 from supercatalan.sums import p_sum, psi, psi_t, r_sum
-from supercatalan.supercat import super_catalan
+from supercatalan.supercat import phi, super_catalan
 from supercatalan.verifier import GridBounds, run_check, sweep
 
 import _oracle
@@ -114,6 +114,24 @@ def test_every_window_is_checked_by_one_rule(call, offset):
             call(4, bad, 0)
         assert str(exc.value) == (f"window offset requires 0 <= 2{offset} <= n, "
                                   f"got {offset}={bad}, n=4")
+
+
+# (n, offset, l) -> the value; the offset runs over 0..n, not over half a window
+@pytest.mark.parametrize("call, offset", [
+    (lambda n, t, l: phi(n, l, t), "t"),
+    (q_scaled, "s"),
+    (q_sum, "s"),
+    (d_psi_level1, "j"),
+], ids=["phi", "q_scaled", "q_sum", "d_psi_level1"])
+def test_every_offset_is_checked_by_one_rule(call, offset):
+    for n, l in ((-1, 0), (3, -1)):
+        with pytest.raises(ValueError) as exc:
+            call(n, 0, l)
+        assert str(exc.value) == f"super Catalan indices must be non-negative, got ({n}, {l})"
+    for bad in (-1, 4):
+        with pytest.raises(ValueError) as exc:
+            call(3, bad, 1)
+        assert str(exc.value) == f"offset requires 0 <= {offset} <= n, got {offset}={bad}, n=3"
 
 
 def test_q_sum_frozen_values():
@@ -210,8 +228,11 @@ def test_division_check_is_immutable():
 
 
 def test_witness_domain_validation():
-    with pytest.raises(ValueError):
-        psi_quotient_witness(2, 0, 0)
+    # the witness and the sum it stands for share one power check
+    for call in (lambda: psi_quotient_witness(3, 0, 1), lambda: psi(6, 0, 1)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "binomial power must be positive, got 0"
     with pytest.raises(ValueError, match=r"super Catalan indices .* got \(-1, 0\)"):
         psi_quotient_witness(-1, 1, 0)
     with pytest.raises(ValueError, match=r"super Catalan indices .* got \(2, -1\)"):
