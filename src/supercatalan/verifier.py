@@ -94,6 +94,8 @@ _PARAMS = _COLUMNS[1:5]  # the point coordinates (n, l, t, m)
 _FLOORS = (0, 0, 0, 1)  # the lowest value of each coordinate in any grid
 # one JSONL record: every key in column order, every value a %s slot
 _JSONL_LINE = "{" + ",".join(f"{encode_basestring_ascii(c)}:%s" for c in _COLUMNS) + "}\n"
+# one CSV record: a %s cell per column; see to_csv for when it is csv.writer's
+_CSV_LINE = ",".join(["%s"] * len(_COLUMNS)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -681,7 +683,32 @@ def to_jsonl(report: Report) -> str:
 
 
 def to_csv(report: Report) -> str:
-    """Same records as to_jsonl in CSV form; empty cells for unused params."""
+    """Same records as to_jsonl in CSV form; empty cells for unused params.
+
+    The bytes are those of csv.writer(buf, lineterminator="\\n"), header
+    first. Under that dialect the writer quotes a field only when it holds
+    the delimiter ",", the quote character '"' or a line break: "\\n", the
+    terminator, and "\\r" on the Python versions that quote it whatever
+    the terminator. Before Python 3.11 it also refuses a field holding
+    NUL, with csv.Error. Any other field it writes as str() does, and None
+    as the empty string. The text filled from _CSV_LINE, repeated once a
+    line, with "" for None, is therefore csv.writer's text whenever it
+    holds 8 commas and one "\\n" a line and no '"', "\\r" or NUL: the
+    template supplies those commas and line ends itself, so then no field
+    holds one of the five characters. The check is five scans of the text
+    in C. Any other report is written by the csv module itself, and so
+    behaves as csv.writer does on the running Python.
+    """
+    cells = chain.from_iterable(
+        (identity, "" if n is None else n, "" if l is None else l,
+         "" if t is None else t, "" if m is None else m, lhs, rhs, status, reason)
+        for identity, n, l, t, m, lhs, rhs, status, reason in report.results)
+    lines = len(report.results) + 1
+    # one format over all the cells: a join would hold a string a row
+    text = (_CSV_LINE * lines) % tuple(chain(_COLUMNS, cells))
+    if (text.count(",") == (len(_COLUMNS) - 1) * lines and text.count("\n") == lines
+            and '"' not in text and "\r" not in text and "\0" not in text):
+        return text
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)

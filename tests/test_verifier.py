@@ -1,7 +1,9 @@
 """Registry contents, point checks, sweeps, and report serialization."""
 
 import concurrent.futures
+import csv
 import hashlib
+import io
 import json
 import pickle
 import subprocess
@@ -9,7 +11,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from supercatalan import dsums, exactnum, sums, supercat, verifier
@@ -398,7 +400,8 @@ def test_default_grid_record_bytes_are_pinned(default_report):
 _TEXT = st.one_of(
     st.text(st.characters(exclude_categories=())),
     st.sampled_from(["", '"', "\\", "\x00", "\x1f", "\x7f", "\u2028",
-                     "\u00e9", "\U0001F600", "\ud800", '\\"\n\t']),
+                     "\u00e9", "\U0001F600", "\ud800", '\\"\n\t', ",", "\r",
+                     "\r\n"]),
 )
 _POINT = st.one_of(st.none(), st.integers(),
                    st.integers(min_value=-2**200, max_value=2**200),
@@ -407,14 +410,79 @@ _RESULT = st.builds(CheckResult, identity=_TEXT, n=_POINT, l=_POINT, t=_POINT,
                     m=_POINT, lhs=_TEXT, rhs=_TEXT, status=_TEXT, reason=_TEXT)
 
 
+def _report(*results):
+    return verifier.Report(results, (), GridBounds(), 0, 0, 0, 0.0, "")
+
+
 @given(st.lists(_RESULT, max_size=5))
 def test_jsonl_template_equals_json_dumps(results):
-    report = verifier.Report(tuple(results), (), GridBounds(), 0, 0, 0, 0.0, "")
+    report = _report(*results)
     reference = "".join(
         json.dumps(dict(zip(verifier._COLUMNS, r)),
                    separators=(",", ":")) + "\n"
         for r in results)
     assert to_jsonl(report) == reference
+
+
+def _csv_writer_text(report):
+    # the reference: csv.writer itself, under the dialect to_csv documents
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(verifier._COLUMNS)
+    writer.writerows(report.results)
+    return buf.getvalue()
+
+
+def _text_or_error(write, report):
+    # csv.writer refuses a NUL before Python 3.11; to_csv must refuse it too
+    try:
+        return write(report)
+    except csv.Error:
+        return csv.Error
+
+
+def _fail_row(reason):
+    return CheckResult("thm3", 1, 0, None, 2, "", "", "fail", reason)
+
+
+@given(st.lists(_RESULT, max_size=5))
+@example([_fail_row("at n=1,j=0")])
+@example([_fail_row('at n=1"j=0')])
+@example([_fail_row("at n=1\rj=0")])
+@example([_fail_row("at n=1\nj=0")])
+@example([_fail_row("at n=1\r\nj=0")])
+@example([_fail_row("at n=1\0j=0")])
+def test_csv_template_equals_csv_writer(results):
+    report = _report(*results)
+    assert _text_or_error(to_csv, report) == _text_or_error(_csv_writer_text, report)
+
+
+def test_csv_is_csv_writer_text_on_swept_reports():
+    _with_temporary_identity("has,comma", lambda n, l, t, m: (n, n))
+    try:
+        comma_name = sweep(["has,comma"], GridBounds(n_max=2, l_max=0))
+    finally:
+        REGISTRY.pop("has,comma")
+    fractions = sweep(["eq58"], GridBounds(n_max=2, l_max=2))
+    assert "10/3" in {r.lhs for r in fractions.results}
+    for report in [sweep(["thm3"], GridBounds(n_max=4, l_max=2, m_max=3)),
+                   comma_name, fractions, sweep([])]:
+        assert to_csv(report) == _csv_writer_text(report)
+
+
+class _WriterCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\0"])
+def test_csv_writer_runs_only_for_text_it_would_quote(monkeypatch, char):
+    def refuse(*args, **kwargs):
+        raise _WriterCalled
+
+    monkeypatch.setattr(verifier.csv, "writer", refuse)
+    assert to_csv(sweep(["thm1"], GridBounds(n_max=1, l_max=1))) == GOLDEN_THM1_CSV
+    with pytest.raises(_WriterCalled):
+        to_csv(_report(_fail_row(f"at n=1{char}j=0")))
 
 
 def test_grid_bounds_validation_and_description():
