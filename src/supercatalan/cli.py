@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from functools import partial
 
 from . import __version__, dsums, exactnum, sums, supercat, verifier
@@ -30,7 +29,8 @@ class _UsageError(Exception):
 
 
 # grid bound names as GridBounds fields; the flags spell them --n-max etc.
-_BOUNDS = tuple(f.name for f in fields(verifier.GridBounds))
+_BOUNDS = verifier.GridBounds._fields
+_WRITE_SLICE = 1 << 20  # characters a write; see _write_text
 
 # kind -> (parameter flags, evaluator, help note); the evaluator takes the
 # parameters positionally in the order listed, and every one is required
@@ -139,9 +139,15 @@ def _cannot_write(path: str, exc: OSError) -> _UsageError:
     return _UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _write_text(fh, text: str) -> None:
+    # in slices, so that encoding never holds a second copy of the whole text
+    for start in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[start:start + _WRITE_SLICE])
+
+
 def _write_stdout(text: str) -> None:
     try:
-        sys.stdout.write(text)
+        _write_text(sys.stdout, text)
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the reader has gone; with stdout on the null device, the flush
@@ -172,7 +178,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if args.output:
         _probe_output(args.output)
     try:
-        # sweep and GridBounds validate the selection, jobs and bounds
+        # sweep validates the selection, jobs and bounds
         report = verifier.sweep(ids, verifier.GridBounds(**_given_bounds(args)),
                                 jobs=args.jobs)
     except ValueError as exc:
@@ -186,7 +192,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_text(fh, text)
         except OSError as exc:
             raise _cannot_write(args.output, exc) from exc
     else:

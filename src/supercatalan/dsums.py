@@ -120,12 +120,11 @@ would only hold memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exactnum import IntegrityError, binomial, central_binomial, decimal_text, memoized
 from .sums import _check_power, _check_window, psi
@@ -398,8 +397,7 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
     return sum(map(mul, _lift(n, m - 2), _level1_weights(n, l)))
 
 
-@dataclass(frozen=True)
-class DivisionCheck:
+class DivisionCheck(NamedTuple):
     """Outcome of an integer divisibility test; failure is data, not an error."""
 
     dividend: int

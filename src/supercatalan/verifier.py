@@ -34,9 +34,10 @@ run_check, since the sweep enumerates domains exactly).
 
 Parameter columns are fixed to (n, l, t, m), and register rejects any
 other param name. Identities over the level engine reuse the t column for
-a window offset j or a level; their descriptions say which. A CheckResult
-is a NamedTuple, already a row in the column order of every record stream,
-so the serializers and the process pool take it as it is.
+a window offset j or a level; their descriptions say which. Every value
+type here is a NamedTuple, and a CheckResult is already a row in the
+column order of every record stream, so the serializers and the process
+pool take it as it is.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -98,25 +98,13 @@ _JSONL_LINE = "{" + ",".join(f"{encode_basestring_ascii(c)}:%s" for c in _COLUMN
 _CSV_LINE = ",".join(["%s"] * len(_COLUMNS)) + "\n"
 
 
-@dataclass(frozen=True)
-class GridBounds:
+class GridBounds(NamedTuple):
     """Inclusive sweep bounds. t_max=None means t is limited only by n."""
 
     n_max: int = 10
     l_max: int = 6
     t_max: int | None = None
     m_max: int = 5
-
-    def __post_init__(self) -> None:
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
-            if value is None and name == "t_max":
-                continue
-            # bool is an int subclass, but True as a bound is a caller bug
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
 
     def describe(self) -> str:
         t = "n" if self.t_max is None else str(self.t_max)
@@ -127,8 +115,7 @@ class GridBounds:
 Point = tuple
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """A registered check: its parameters, domain and evaluation.
 
     check(n, l, t, m) returns the two exact values whose relation is
@@ -572,13 +559,7 @@ def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds) -> list[CheckResul
     return _sweep_identity(spec, grid)
 
 
-def _open_worker_scope() -> None:
-    # a pool worker memoizes for its whole life; its tables go with it
-    memo_scope.__enter__()
-
-
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """A completed sweep: ordered results plus summary bookkeeping."""
 
     results: tuple[CheckResult, ...]
@@ -603,12 +584,23 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     ValueError first, and one that a worker cannot unpickle raises
     ValueError from the pool.
 
+    A NamedTuple checks nothing when it is built, so sweep checks the grid's
+    bounds, before it pickles a spec or starts a worker.
+
     The serial loop runs in one memo scope, and each pool worker holds one
     for its life, so identities that share a sum evaluate it once per
     process. The memo is empty again when sweep returns.
     """
     if grid is None:
         grid = GridBounds()
+    for name, value in zip(GridBounds._fields, grid):
+        if value is None and name == "t_max":
+            continue
+        # bool is an int subclass, but True as a bound is a caller bug
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
     if isinstance(names, str):
         raise TypeError(f"names must be a collection of identity names, "
                         f"not the str {names!r}")
@@ -636,8 +628,9 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
         # the pool pulls in multiprocessing, socket and pickle: a serial
         # sweep and the CLI's cold start do not pay for them
         from concurrent.futures import ProcessPoolExecutor
+        # a pool worker memoizes for its whole life; its tables go with it
         with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_open_worker_scope) as pool:
+                                 initializer=memo_scope.__enter__) as pool:
             batches = list(pool.map(_sweep_pickled, tasks, repeat(grid)))
     results = tuple(chain.from_iterable(batches))
     counts = {"pass": 0, "fail": 0, "skipped": 0}
@@ -670,8 +663,8 @@ def to_jsonl(report: Report) -> str:
     default ensure_ascii=True, json.dumps escapes every str, keys included,
     with encode_basestring_ascii, the function used here; it writes an int
     as int.__repr__, which is what %s gives, and None as null; and the
-    separators are the template's. run_check and GridBounds admit only int
-    or None as point values, so no bool or float reaches a point column.
+    separators are the template's. run_check and sweep admit only int or
+    None as point values, so no bool or float reaches a point column.
     """
     quote = encode_basestring_ascii
     return "".join(

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from supercatalan import sums, supercat, verifier
+from supercatalan import cli, sums, supercat, verifier
 from supercatalan.cli import main
 from supercatalan.verifier import REGISTRY, IdentitySpec, register
 
@@ -148,14 +148,20 @@ def test_sweep_csv_records(capsys):
     ]
 
 
-def test_sweep_output_file_matches_stdout(capsys, tmp_path):
+@pytest.mark.parametrize("write_slice", [cli._WRITE_SLICE, 7])
+def test_sweep_output_file_matches_stdout(capsys, tmp_path, monkeypatch, write_slice):
+    # a slice of 7 characters splits every record, and ends mid-record
+    monkeypatch.setattr(cli, "_WRITE_SLICE", write_slice)
+    grid = verifier.GridBounds(n_max=3, l_max=2)
+    expected = verifier.to_jsonl(verifier.sweep(["thm2"], grid))
     argv = ("sweep", "--id", "thm2", "--n-max", "3", "--l-max", "2")
     _, streamed, _ = run_cli(capsys, *argv)
     path = tmp_path / "report.jsonl"
     code, out, _ = run_cli(capsys, *argv, "--output", str(path))
     assert code == 0
     assert out == ""
-    assert path.read_text(encoding="utf-8") == streamed
+    assert streamed == expected
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):

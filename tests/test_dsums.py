@@ -1,6 +1,5 @@
 """Engine coherence, closed layers, and the constructive divisibility pipeline."""
 
-import dataclasses
 from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
@@ -223,7 +222,7 @@ def test_failed_division_is_data():
 
 def test_division_check_is_immutable():
     check = division_check(6, 3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         check.remainder = 1
 
 

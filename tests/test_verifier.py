@@ -341,8 +341,8 @@ def test_a_worker_names_a_spec_it_cannot_load():
 def test_cold_start_does_not_load_the_process_pool():
     code = ("import sys\n"
             "import supercatalan, supercatalan.cli\n"
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')\n"
-            "             if m in sys.modules))")
+            "print(sorted(m for m in ('concurrent.futures', 'dataclasses',\n"
+            "                         'multiprocessing') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -485,22 +485,31 @@ def test_csv_writer_runs_only_for_text_it_would_quote(monkeypatch, char):
         to_csv(_report(_fail_row(f"at n=1{char}j=0")))
 
 
-def test_grid_bounds_validation_and_description():
+def test_grid_bounds_validation_and_description(monkeypatch, serial_pool):
     assert GridBounds().describe() == "n<=10, l<=6, t<=n, m<=5"
     assert GridBounds(n_max=3, l_max=2, t_max=1, m_max=4).describe() == \
         "n<=3, l<=2, t<=1, m<=4"
-    with pytest.raises(ValueError):
-        GridBounds(n_max=-1)
-    with pytest.raises(ValueError):
-        GridBounds(t_max=-2)
+    # a GridBounds checks nothing when built, by any route; sweep checks it
+    # before the pool that two identities and two jobs would start
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    for grid, name in [(GridBounds(n_max=-1), "n_max"), (GridBounds(t_max=-2), "t_max"),
+                       (GridBounds()._replace(n_max=-1), "n_max"),
+                       (GridBounds._make([2, 1, None, -1]), "m_max")]:
+        with pytest.raises(ValueError) as exc:
+            sweep(["thm1", "eq33"], grid, jobs=2)
+        assert str(exc.value) == f"{name} must be non-negative"
+    assert serial_pool["sizes"] == []
 
 
-@pytest.mark.parametrize("bounds", [{"n_max": 2.5}, {"n_max": True},
-                                    {"l_max": "3"}, {"t_max": False}])
-def test_grid_bounds_reject_non_int(bounds):
+@pytest.mark.parametrize("bounds", [GridBounds(n_max=2.5), GridBounds(n_max=True),
+                                    GridBounds(l_max="3"), GridBounds(t_max=False),
+                                    GridBounds()._replace(l_max=True)])
+def test_grid_bounds_reject_non_int(monkeypatch, serial_pool, bounds):
     # a float used to fail later, as a TypeError from range inside the sweep
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
     with pytest.raises(TypeError, match="must be an int"):
-        GridBounds(**bounds)
+        sweep(["thm1", "eq33"], bounds, jobs=2)
+    assert serial_pool["sizes"] == []
 
 
 @pytest.mark.parametrize("point", [{"n": True, "l": 1}, {"n": 2, "l": 1.0},
