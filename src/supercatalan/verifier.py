@@ -27,10 +27,10 @@ sweep and run_check open a memo scope around their evaluations, and the
 memo is emptied when they return. Its keys are the function and its
 arguments, so the routes a check compares never share a value.
 
-A check never aborts a sweep. Failures and integrity errors are recorded
-as results; points outside an identity's domain or below the grid are
-skipped with a machine-readable reason (which only happens through
-run_check, since the sweep enumerates domains exactly).
+A check never aborts a sweep. Failures, integrity errors and domains that
+raise are recorded as results; points outside an identity's domain or
+below the grid are skipped with a machine-readable reason (which only
+happens through run_check, since the sweep enumerates domains exactly).
 
 Parameter columns are fixed to (n, l, t, m), and register rejects any
 other param name. Identities over the level engine reuse the t column for
@@ -109,10 +109,6 @@ class GridBounds(NamedTuple):
     def describe(self) -> str:
         t = "n" if self.t_max is None else str(self.t_max)
         return f"n<={self.n_max}, l<={self.l_max}, t<={t}, m<={self.m_max}"
-
-
-# Point = (n, l, t, m), None where the identity has no such parameter.
-Point = tuple
 
 
 class IdentitySpec(NamedTuple):
@@ -481,7 +477,18 @@ def _check_dlevel1(n, l, t, m):
 # evaluation
 
 
-def _evaluate(spec: IdentitySpec, point: Point) -> CheckResult:
+def _require_int(name: str, value) -> None:
+    # not a bool or IntEnum member: to_jsonl writes a point value as int.__repr__
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _failed(spec: IdentitySpec, point: tuple, exc: Exception) -> CheckResult:
+    # any error is a failed point: it must not abort a sweep or a pool
+    return CheckResult(spec.name, *point, "", "", "fail", f"{type(exc).__name__}: {exc}")
+
+
+def _evaluate(spec: IdentitySpec, point: tuple) -> CheckResult:
     n, l, t, m = point
     try:
         lhs, rhs = spec.check(n, l, t, m)
@@ -489,14 +496,7 @@ def _evaluate(spec: IdentitySpec, point: Point) -> CheckResult:
         return CheckResult(spec.name, n, l, t, m, exactnum.decimal_text(lhs),
                            exactnum.decimal_text(rhs), "pass" if ok else "fail")
     except Exception as exc:
-        # any error is a failed point: it must not abort a sweep or a pool
-        return CheckResult(spec.name, n, l, t, m, "", "",
-                           "fail", f"{type(exc).__name__}: {exc}")
-
-
-def _normalize_point(spec: IdentitySpec, n, l, t, m) -> Point:
-    return tuple(v if p in spec.params else None
-                 for p, v in zip(_PARAMS, (n, l, t, m)))
+        return _failed(spec, point, exc)
 
 
 def run_check(name: str, *, n: int | None = None, l: int | None = None,
@@ -505,30 +505,35 @@ def run_check(name: str, *, n: int | None = None, l: int | None = None,
 
     Points outside the identity's domain, including points below the grid
     (n, l or t < 0, m < 1) and points missing a required parameter, come
-    back as skipped with a reason; an unknown identity name raises
-    ValueError, and a parameter of the identity that is not exactly an int
-    (a bool, say) raises TypeError.
+    back as skipped with a reason; a domain or check that raises gives a
+    failed row. An unknown identity name raises ValueError, and a parameter
+    of the identity that is not exactly an int (a bool or an IntEnum member,
+    say) raises TypeError, as a grid bound or jobs does in sweep.
     """
     spec = get_identity(name)
-    point = _normalize_point(spec, n, l, t, m)
+    point = tuple(v if p in spec.params else None for p, v in zip(_PARAMS, (n, l, t, m)))
     for p, v in zip(_PARAMS, point):
-        if v is not None and type(v) is not int:
-            raise TypeError(f"{p} must be an int, got {v!r}")
+        if v is not None:
+            _require_int(p, v)
     missing = [p for p, v in zip(_PARAMS, point)
                if p in spec.params and v is None]
     if missing:
         return CheckResult(spec.name, *point, "", "", "skipped",
                            f"missing parameter(s): {', '.join(missing)}")
-    if (any(v is not None and v < lo for v, lo in zip(point, _FLOORS))
-            or not spec.domain(*point)):
-        return CheckResult(spec.name, *point, "", "", "skipped",
-                           f"point outside domain of {spec.name}")
+    try:
+        if (any(v is not None and v < lo for v, lo in zip(point, _FLOORS))
+                or not spec.domain(*point)):
+            return CheckResult(spec.name, *point, "", "", "skipped",
+                               f"point outside domain of {spec.name}")
+    except Exception as exc:
+        return _failed(spec, point, exc)
     with memo_scope:
         return _evaluate(spec, point)
 
 
-def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[Point]:
-    # nested ascending loops make the enumeration lexicographic in (n,l,t,m)
+def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[tuple | CheckResult]:
+    # nested ascending loops make the enumeration lexicographic in (n,l,t,m);
+    # a point whose domain test raises comes out as its failed row, in order
     t_hi = grid.t_max if grid.t_max is not None else grid.n_max
     highs = (grid.n_max, grid.l_max, t_hi, grid.m_max)
     ns, ls, ts, ms = (range(lo, hi + 1) if p in spec.params else (None,)
@@ -537,13 +542,17 @@ def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[Point]:
         for l in ls:
             for t in ts:
                 for m in ms:
-                    if spec.domain(n, l, t, m):
-                        yield (n, l, t, m)
+                    try:
+                        if spec.domain(n, l, t, m):
+                            yield (n, l, t, m)
+                    except Exception as exc:
+                        yield _failed(spec, (n, l, t, m), exc)
 
 
 def _sweep_identity(spec: IdentitySpec, grid: GridBounds) -> list[CheckResult]:
     # one identity's results in key order: the unit of work of a sweep
-    return [_evaluate(spec, p) for p in _iter_points(spec, grid)]
+    return [p if type(p) is CheckResult else _evaluate(spec, p)
+            for p in _iter_points(spec, grid)]
 
 
 def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds) -> list[CheckResult]:
@@ -585,7 +594,9 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     ValueError from the pool.
 
     A NamedTuple checks nothing when it is built, so sweep checks the grid's
-    bounds, before it pickles a spec or starts a worker.
+    bounds and jobs before it pickles a spec or starts a worker. Each is
+    exactly an int, as a run_check point value is (t_max may be None). A
+    name that is not registered, of any type, raises ValueError.
 
     The serial loop runs in one memo scope, and each pool worker holds one
     for its life, so identities that share a sum evaluate it once per
@@ -596,17 +607,18 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     for name, value in zip(GridBounds._fields, grid):
         if value is None and name == "t_max":
             continue
-        # bool is an int subclass, but True as a bound is a caller bug
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {value!r}")
+        _require_int(name, value)
         if value < 0:
             raise ValueError(f"{name} must be non-negative")
     if isinstance(names, str):
         raise TypeError(f"names must be a collection of identity names, "
                         f"not the str {names!r}")
+    _require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    specs = [get_identity(name) for name in sorted(set(names))]
+    # every name is resolved before any two are compared
+    resolved = {name: get_identity(name) for name in names}
+    specs = [resolved[name] for name in sorted(resolved)]
     if jobs > 1:
         # a worker gets each spec by pickle, its functions by reference;
         # checked for jobs > 1, not per pool, so the CPU count cannot decide

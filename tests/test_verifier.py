@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import enum
 import hashlib
 import io
 import json
@@ -32,6 +33,12 @@ from supercatalan.verifier import (
 )
 
 import _oracle
+
+
+class _Small(enum.IntEnum):
+    # an int subclass whose members pass isinstance(value, int)
+    TWO = 2
+
 
 REQUIRED_IDS = {
     "vonszily", "symmetry", "parity", "thm1", "eq2", "eq3", "thm2", "eq8",
@@ -366,6 +373,9 @@ def test_sweep_rejects_bad_arguments():
         sweep(["thm99"])
     with pytest.raises(ValueError):
         sweep(["thm1"], jobs=0)
+    # each name is resolved before any two are compared by the sort
+    with pytest.raises(ValueError, match="unknown identity 1"):
+        sweep(["thm1", 1])
 
 
 def test_sweep_rejects_a_bare_string():
@@ -503,7 +513,8 @@ def test_grid_bounds_validation_and_description(monkeypatch, serial_pool):
 
 @pytest.mark.parametrize("bounds", [GridBounds(n_max=2.5), GridBounds(n_max=True),
                                     GridBounds(l_max="3"), GridBounds(t_max=False),
-                                    GridBounds()._replace(l_max=True)])
+                                    GridBounds()._replace(l_max=True),
+                                    GridBounds(n_max=_Small.TWO, l_max=1)])
 def test_grid_bounds_reject_non_int(monkeypatch, serial_pool, bounds):
     # a float used to fail later, as a TypeError from range inside the sweep
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
@@ -512,8 +523,19 @@ def test_grid_bounds_reject_non_int(monkeypatch, serial_pool, bounds):
     assert serial_pool["sizes"] == []
 
 
+@pytest.mark.parametrize("jobs", [True, 2.0, "2", _Small.TWO])
+def test_sweep_rejects_non_int_jobs(monkeypatch, serial_pool, jobs):
+    # True used to run serially, 2.0 reached the pool and "2" failed a
+    # comparison; the text is the one a bound or a point value gets
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    with pytest.raises(TypeError) as exc:
+        sweep(["thm1", "eq33"], GridBounds(n_max=2, l_max=1), jobs=jobs)
+    assert str(exc.value) == f"jobs must be an int, got {jobs!r}"
+    assert serial_pool["sizes"] == []
+
+
 @pytest.mark.parametrize("point", [{"n": True, "l": 1}, {"n": 2, "l": 1.0},
-                                   {"n": 2, "l": "1"}])
+                                   {"n": 2, "l": "1"}, {"n": _Small.TWO, "l": 1}])
 def test_run_check_rejects_non_int_points(point):
     # a record's point columns are ints or null, as to_jsonl assumes
     with pytest.raises(TypeError, match="must be an int"):
@@ -573,6 +595,34 @@ def test_raising_check_becomes_failure_with_reason():
         assert result.lhs == result.rhs == ""
     finally:
         REGISTRY.pop("always-raises")
+
+
+def _raises_at_2(n, l, t, m):
+    # a module-level domain, so a pool worker can load it; it raises at n = 2
+    return 1 // (n - 2) >= 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_raising_domain_fails_its_point(monkeypatch, serial_pool, jobs):
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    register(IdentitySpec("raising-domain", "domain fixture", ("n",),
+                          _raises_at_2, verifier._check_eq2))
+    try:
+        report = sweep(["raising-domain", "thm1"], GridBounds(n_max=3, l_max=1),
+                       jobs=jobs)
+        assert serial_pool["sizes"] == ([2] if jobs == 2 else [])
+        reason = "ZeroDivisionError: integer division or modulo by zero"
+        # n = 0 and 1 are outside the domain; n = 2 fails in key order, and
+        # the sweep goes on to n = 3 and to the next identity
+        assert report.results[0] == CheckResult("raising-domain", 2, None, None, None,
+                                                "", "", "fail", reason)
+        assert report.results[1] == run_check("raising-domain", n=3)
+        assert [r.identity for r in report.results[2:]] == ["thm1"] * 8
+        assert (report.passed, report.failed) == (9, 1)
+        assert run_check("raising-domain", n=2) == report.results[0]
+        assert run_check("raising-domain", n=1).status == "skipped"
+    finally:
+        REGISTRY.pop("raising-domain")
 
 
 def test_unexpected_exception_becomes_failure_with_reason():
