@@ -27,10 +27,10 @@ sweep and run_check open a memo scope around their evaluations, and the
 memo is emptied when they return. Its keys are the function and its
 arguments, so the routes a check compares never share a value.
 
-A check never aborts a sweep. Failures, integrity errors and domains that
-raise are recorded as results; points outside an identity's domain or
-below the grid are skipped with a machine-readable reason (which only
-happens through run_check, since the sweep enumerates domains exactly).
+A check never aborts a sweep. _row alone turns a point into its record,
+for sweep and run_check: failures, integrity errors and domains that raise
+are failed rows; points outside a domain or below the grid are skipped
+with a machine-readable reason (only run_check returns those).
 
 Parameter columns are fixed to (n, l, t, m), and register rejects any
 other param name. Identities over the level engine reuse the t column for
@@ -46,10 +46,11 @@ import csv
 import io
 import os
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import dsums, exactnum, sums, supercat
 from .exactnum import IntegrityError, binomial, central_binomial, exact_div, memo_scope
@@ -135,6 +136,9 @@ REGISTRY: dict[str, IdentitySpec] = {}
 
 
 def register(spec: IdentitySpec) -> None:
+    # a name that is not a str could not be sorted among the others
+    if type(spec.name) is not str:
+        raise TypeError(f"identity name must be a str, got {spec.name!r}")
     if spec.name in REGISTRY:
         raise ValueError(f"identity {spec.name!r} already registered")
     if spec.relation not in ("equal", "remainder-zero", "remainder-nonzero"):
@@ -152,7 +156,7 @@ def registry_ids() -> tuple[str, ...]:
 def get_identity(name: str) -> IdentitySpec:
     try:
         return REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown identity {name!r}") from None
 
 
@@ -483,20 +487,20 @@ def _require_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an int, got {value!r}")
 
 
-def _failed(spec: IdentitySpec, point: tuple, exc: Exception) -> CheckResult:
-    # any error is a failed point: it must not abort a sweep or a pool
-    return CheckResult(spec.name, *point, "", "", "fail", f"{type(exc).__name__}: {exc}")
-
-
-def _evaluate(spec: IdentitySpec, point: tuple) -> CheckResult:
+def _row(spec: IdentitySpec, point: tuple) -> CheckResult | None:
+    # the one path from a point to its record: None outside the domain, and
+    # any error is a failed point, so it cannot abort a sweep or a pool
     n, l, t, m = point
     try:
+        if not spec.domain(n, l, t, m):
+            return None
         lhs, rhs = spec.check(n, l, t, m)
         ok = lhs != rhs if spec.relation == "remainder-nonzero" else lhs == rhs
         return CheckResult(spec.name, n, l, t, m, exactnum.decimal_text(lhs),
                            exactnum.decimal_text(rhs), "pass" if ok else "fail")
     except Exception as exc:
-        return _failed(spec, point, exc)
+        return CheckResult(spec.name, n, l, t, m, "", "", "fail",
+                           f"{type(exc).__name__}: {exc}")
 
 
 def run_check(name: str, *, n: int | None = None, l: int | None = None,
@@ -505,54 +509,40 @@ def run_check(name: str, *, n: int | None = None, l: int | None = None,
 
     Points outside the identity's domain, including points below the grid
     (n, l or t < 0, m < 1) and points missing a required parameter, come
-    back as skipped with a reason; a domain or check that raises gives a
-    failed row. An unknown identity name raises ValueError, and a parameter
-    of the identity that is not exactly an int (a bool or an IntEnum member,
-    say) raises TypeError, as a grid bound or jobs does in sweep.
+    back as skipped with a reason; any other point gets the row a sweep
+    records there. A name that is not registered, of any type, raises
+    ValueError, and a parameter of the identity that is not exactly an int
+    (a bool or an IntEnum member, say) raises TypeError, as in sweep.
     """
     spec = get_identity(name)
     point = tuple(v if p in spec.params else None for p, v in zip(_PARAMS, (n, l, t, m)))
     for p, v in zip(_PARAMS, point):
         if v is not None:
             _require_int(p, v)
-    missing = [p for p, v in zip(_PARAMS, point)
-               if p in spec.params and v is None]
+    missing = [p for p, v in zip(_PARAMS, point) if p in spec.params and v is None]
     if missing:
         return CheckResult(spec.name, *point, "", "", "skipped",
                            f"missing parameter(s): {', '.join(missing)}")
-    try:
-        if (any(v is not None and v < lo for v, lo in zip(point, _FLOORS))
-                or not spec.domain(*point)):
-            return CheckResult(spec.name, *point, "", "", "skipped",
-                               f"point outside domain of {spec.name}")
-    except Exception as exc:
-        return _failed(spec, point, exc)
+    below = any(v is not None and v < lo for v, lo in zip(point, _FLOORS))
     with memo_scope:
-        return _evaluate(spec, point)
+        row = None if below else _row(spec, point)
+    return row or CheckResult(spec.name, *point, "", "", "skipped",
+                              f"point outside domain of {spec.name}")
 
 
-def _iter_points(spec: IdentitySpec, grid: GridBounds) -> Iterator[tuple | CheckResult]:
-    # nested ascending loops make the enumeration lexicographic in (n,l,t,m);
-    # a point whose domain test raises comes out as its failed row, in order
+def _axes(spec: IdentitySpec, grid: GridBounds) -> list:
+    # each coordinate's values in the grid, or (None,) for a param the spec
+    # lacks; their product is lexicographic in (n, l, t, m)
     t_hi = grid.t_max if grid.t_max is not None else grid.n_max
     highs = (grid.n_max, grid.l_max, t_hi, grid.m_max)
-    ns, ls, ts, ms = (range(lo, hi + 1) if p in spec.params else (None,)
-                      for p, lo, hi in zip(_PARAMS, _FLOORS, highs))
-    for n in ns:
-        for l in ls:
-            for t in ts:
-                for m in ms:
-                    try:
-                        if spec.domain(n, l, t, m):
-                            yield (n, l, t, m)
-                    except Exception as exc:
-                        yield _failed(spec, (n, l, t, m), exc)
+    return [range(lo, hi + 1) if p in spec.params else (None,)
+            for p, lo, hi in zip(_PARAMS, _FLOORS, highs)]
 
 
 def _sweep_identity(spec: IdentitySpec, grid: GridBounds) -> list[CheckResult]:
     # one identity's results in key order: the unit of work of a sweep
-    return [p if type(p) is CheckResult else _evaluate(spec, p)
-            for p in _iter_points(spec, grid)]
+    return [row for row in map(_row, repeat(spec), product(*_axes(spec, grid)))
+            if row is not None]
 
 
 def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds) -> list[CheckResult]:
@@ -593,8 +583,9 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     ValueError first, and one that a worker cannot unpickle raises
     ValueError from the pool.
 
-    A NamedTuple checks nothing when it is built, so sweep checks the grid's
-    bounds and jobs before it pickles a spec or starts a worker. Each is
+    A NamedTuple checks nothing when it is built, so sweep checks the grid
+    and jobs before it pickles a spec or starts a worker. The grid is a
+    GridBounds (a plain tuple raises TypeError), and each bound and jobs is
     exactly an int, as a run_check point value is (t_max may be None). A
     name that is not registered, of any type, raises ValueError.
 
@@ -604,6 +595,8 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     """
     if grid is None:
         grid = GridBounds()
+    if not isinstance(grid, GridBounds):
+        raise TypeError(f"grid must be a GridBounds, got {grid!r}")
     for name, value in zip(GridBounds._fields, grid):
         if value is None and name == "t_max":
             continue
@@ -645,9 +638,7 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
                                  initializer=memo_scope.__enter__) as pool:
             batches = list(pool.map(_sweep_pickled, tasks, repeat(grid)))
     results = tuple(chain.from_iterable(batches))
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for r in results:
-        counts[r.status] += 1
+    counts = Counter(r.status for r in results)
     return Report(
         results=results,
         identities=tuple(spec.name for spec in specs),
@@ -727,22 +718,15 @@ def to_human(report: Report, show_timestamp: bool = True) -> str:
     Runtime and generation time are the only non-reproducible fields and
     are dropped when show_timestamp is false.
     """
-    per: dict[str, dict[str, int]] = {
-        name: {"points": 0, "pass": 0, "fail": 0, "skipped": 0}
-        for name in report.identities
-    }
-    for r in report.results:
-        per[r.identity]["points"] += 1
-        per[r.identity][r.status] += 1
+    counts = Counter((r.identity, r.status) for r in report.results)
+    per = [[counts[name, s] for s in ("pass", "fail", "skipped")]
+           for name in report.identities]
+    total = list(map(sum, zip((0, 0, 0), *per)))
     width = max([len("identity")] + [len(name) for name in report.identities])
-    lines = [f"{'identity':<{width}}  {'points':>7}  {'pass':>7}  {'fail':>7}  {'skip':>7}"]
-    for name in report.identities:
-        c = per[name]
-        lines.append(f"{name:<{width}}  {c['points']:>7}  {c['pass']:>7}  "
-                     f"{c['fail']:>7}  {c['skipped']:>7}")
-    total = len(report.results)
-    lines.append(f"{'total':<{width}}  {total:>7}  {report.passed:>7}  "
-                 f"{report.failed:>7}  {report.skipped:>7}")
+    line = ("{:<%d}" % width + "  {:>7}" * 4).format
+    lines = [line("identity", "points", "pass", "fail", "skip")]
+    lines += [line(name, sum(c), *c)
+              for name, c in zip((*report.identities, "total"), (*per, total))]
     bad = [r for r in report.results if r.status == "fail"]
     if bad:
         lines.append("")

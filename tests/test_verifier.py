@@ -5,6 +5,7 @@ import csv
 import enum
 import hashlib
 import io
+import itertools
 import json
 import pickle
 import subprocess
@@ -368,7 +369,7 @@ def test_sweep_results_come_in_key_order(jobs):
     assert keys == sorted(keys)
 
 
-def test_sweep_rejects_bad_arguments():
+def test_sweep_rejects_bad_arguments(monkeypatch, serial_pool):
     with pytest.raises(ValueError):
         sweep(["thm99"])
     with pytest.raises(ValueError):
@@ -376,6 +377,13 @@ def test_sweep_rejects_bad_arguments():
     # each name is resolved before any two are compared by the sort
     with pytest.raises(ValueError, match="unknown identity 1"):
         sweep(["thm1", 1])
+    # a tuple passes every bound check but has no t_max to read mid-sweep
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    for grid in [(2, 1, None, 1), (2, 1)]:
+        with pytest.raises(TypeError) as exc:
+            sweep(["thm1", "eq33"], grid, jobs=2)
+        assert str(exc.value) == f"grid must be a GridBounds, got {grid!r}"
+    assert serial_pool["sizes"] == []
 
 
 def test_sweep_rejects_a_bare_string():
@@ -552,6 +560,52 @@ def test_register_rejects_duplicates_and_bad_relations():
                               lambda n, l, t, m: (0, 0),
                               relation="approximately-equal"))
     assert "fresh-name" not in REGISTRY
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize("name", [1, None, b"thm1-bytes", _Name("str-subclass")])
+def test_register_rejects_a_name_that_is_not_a_str(name):
+    # such a name could not be sorted among the others by registry_ids,
+    # sweep or verify --all
+    before = dict(REGISTRY)
+    with pytest.raises(TypeError) as exc:
+        register(IdentitySpec(name, "", ("n",), verifier._any, verifier._check_eq2))
+    assert str(exc.value) == f"identity name must be a str, got {name!r}"
+    assert REGISTRY == before
+    assert registry_ids() == tuple(sorted(before))
+
+
+@pytest.mark.parametrize("name", [["thm1"], {"thm1": 1}, {"thm1"}])
+def test_an_unhashable_name_is_an_unknown_identity(name):
+    message = f"unknown identity {name!r}"
+    for call in (lambda: get_identity(name), lambda: run_check(name, n=1),
+                 lambda: sweep([name, "thm1"])):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_run_check_and_sweep_agree_at_every_point():
+    # one path from a point to its row: run_check gives the sweep's row
+    # where the sweep has one, and skips every other point of the grid
+    grid = GridBounds(n_max=5, l_max=3, m_max=4)
+    rows = {(r.identity, *r[1:5]): r for r in sweep(registry_ids(), grid).results}
+    assert {r.status for r in rows.values()} == {"pass"}
+    calls = 0
+    for name in registry_ids():
+        for point in itertools.product(*verifier._axes(REGISTRY[name], grid)):
+            given = {p: v for p, v in zip("nltm", point) if v is not None}
+            result = run_check(name, **given)
+            calls += 1
+            if (name, *point) in rows:
+                assert result == rows.pop((name, *point))
+            else:
+                assert result.status == "skipped", result
+    assert not rows
+    assert calls == 3256
 
 
 @pytest.mark.parametrize("params", [("n", "k"), ("n", "n"), ("j",)])
