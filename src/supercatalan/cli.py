@@ -8,8 +8,8 @@ Three subcommands:
 
 Exit status is 0 for success, 1 when any identity check failed, 2 for
 usage errors, an --output file that cannot be written and a standard
-output whose reader has gone. All printed values are exact; rationals
-appear as p/q.
+output that cannot be written (a closed pipe, a full device, a closed
+descriptor). All printed values are exact; rationals appear as p/q.
 
 A record stream (JSONL or CSV) is written one identity's batch at a time,
 as the sweep makes it, so a sweep holds the records of one identity and
@@ -20,6 +20,7 @@ that stops on an error or an interrupt leaves PATH as it found it.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import stat
 import sys
@@ -92,19 +93,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--output", default=None, metavar="PATH")
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit runtime and generation time from output")
+        p.set_defaults(func=_cmd_sweep)
 
     ver = sub.add_parser("verify", help="sweep identities over a grid")
     add_sweep_args(ver, ("json", "csv", "human"), "human")
+    ver.add_argument("--no-timestamp", action="store_true",
+                     help="omit runtime and generation time from output")
     ver.add_argument("--default-grid", action="store_true",
                      help=f"use the default grid ({verifier.GridBounds().describe()})")
-    ver.set_defaults(func=_cmd_verify)
 
     swp = sub.add_parser(
         "sweep", help="sweep with explicit bounds, machine-readable output")
     add_sweep_args(swp, ("json", "csv"), "json")
-    swp.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -127,36 +127,25 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selected_ids(args: argparse.Namespace) -> list[str]:
-    if args.all and args.id:
-        raise _UsageError("give either --all or --id, not both")
-    if args.all:
-        return list(verifier.registry_ids())
-    if args.id:
-        return args.id
-    raise _UsageError("select identities with --all or --id")
-
-
-def _given_bounds(args: argparse.Namespace) -> dict[str, int]:
-    return {name: getattr(args, name) for name in _BOUNDS
-            if getattr(args, name) is not None}
-
-
 def _cannot_write(path: str, exc: OSError) -> _UsageError:
     return _UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_stdout(text: str) -> None:
+    if sys.stdout is None:
+        # started with descriptor 1 closed
+        raise _UsageError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # the reader has gone; with stdout on the null device, the flush
-        # at exit discards what is still buffered instead of raising again
+    except OSError as exc:
+        # a closed pipe, a full device or a closed descriptor; with stdout on
+        # the null device, the flush at exit discards what is still buffered
+        # instead of raising again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        raise _UsageError(f"cannot write standard output: {exc.strerror}") from exc
+        raise _cannot_write("standard output", exc) from exc
 
 
 class _OutputFile:
@@ -220,49 +209,41 @@ class _OutputFile:
                 os.remove(self.tmp)
 
 
-def _pieces(args: argparse.Namespace, ids: list[str]):
-    """The output in order, as (text, count of failed records) pairs.
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Both verify and sweep: check the arguments, then write the output.
 
-    A record stream comes one identity's batch at a time, so the sweep holds
-    the records of one identity, not the whole report; the human table is
-    made from the report that sweep returns.
+    A record stream is written one identity's batch at a time, so the sweep
+    holds the records of one identity, not the whole report; the human table
+    is made from the report that sweep returns.
     """
-    grid = verifier.GridBounds(**_given_bounds(args))
-    try:
-        # the sweep validates the selection, jobs and bounds
-        if args.format == "human":
-            report = verifier.sweep(ids, grid, jobs=args.jobs)
-            yield (verifier.to_human(report, show_timestamp=not args.no_timestamp),
-                   report.failed)
-            return
-        for k, (_, rows) in enumerate(verifier._batches(ids, grid, args.jobs)):
-            text = (verifier._jsonl_text(rows) if args.format == "json"
-                    else verifier._csv_text(rows, header=not k))
-            yield text, sum(r.status == "fail" for r in rows)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    ids = _selected_ids(args)
+    bounds = {name: getattr(args, name) for name in _BOUNDS
+              if getattr(args, name) is not None}
+    if args.command == "sweep" and not bounds:
+        raise _UsageError("sweep requires at least one explicit grid bound")
+    if args.command == "verify" and args.default_grid and bounds:
+        raise _UsageError("--default-grid excludes explicit bounds")
+    if args.all and args.id:
+        raise _UsageError("give either --all or --id, not both")
+    if not (args.all or args.id):
+        raise _UsageError("select identities with --all or --id")
+    ids = verifier.registry_ids() if args.all else args.id
+    grid = verifier.GridBounds(**bounds)
     failed = 0
     with _OutputFile(args.output) if args.output else nullcontext(_write_stdout) as write:
-        for text, bad in _pieces(args, ids):
-            write(text)
-            failed += bad
+        try:
+            # the sweep validates the selection, jobs and bounds
+            if args.format == "human":
+                report = verifier.sweep(ids, grid, jobs=args.jobs)
+                write(verifier.to_human(report, show_timestamp=not args.no_timestamp))
+                failed = report.failed
+            else:
+                for k, (_, rows) in enumerate(verifier._batches(ids, grid, args.jobs)):
+                    write(verifier._jsonl_text(rows) if args.format == "json"
+                          else verifier._csv_text(rows, header=not k))
+                    failed += sum(r.status == "fail" for r in rows)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
     return 1 if failed else 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.default_grid and _given_bounds(args):
-        raise _UsageError("--default-grid excludes explicit bounds")
-    return _run_sweep(args)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    if not _given_bounds(args):
-        raise _UsageError("sweep requires at least one explicit grid bound")
-    return _run_sweep(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,5 +1,6 @@
 """Command line behavior: computed values, sweeps, exit codes, output routing."""
 
+import errno
 import json
 import os
 import stat
@@ -82,6 +83,10 @@ def test_argparse_level_errors_exit_2(capsys):
     assert wrapped.value.code == 2
     with pytest.raises(SystemExit) as wrapped:
         main(["sweep", "--all", "--n-max", "2", "--format", "human"])
+    assert wrapped.value.code == 2
+    # records carry no timestamp, so sweep has no flag to drop one
+    with pytest.raises(SystemExit) as wrapped:
+        main(["sweep", "--all", "--n-max", "2", "--no-timestamp"])
     assert wrapped.value.code == 2
     capsys.readouterr()
 
@@ -191,6 +196,32 @@ def test_unwritable_output_fails_before_the_sweep(capsys, tmp_path, monkeypatch)
                              "--output", str(path))
     assert (code, out, calls) == (2, "", [])
     assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("bounds, fails_in_write", [
+    (("--n-max", "3"), False),
+    (("--n-max", "20", "--l-max", "10"), True),
+])
+def test_a_full_output_device_exits_2(capsys, monkeypatch, bounds, fails_in_write):
+    # 28 records stay in the file's buffer until it closes; 231 overflow it
+    # in a write
+    raised = []
+    write = cli._OutputFile.write
+
+    def recording(self, text):
+        try:
+            write(self, text)
+        except cli._UsageError:
+            raised.append(text)
+            raise
+
+    monkeypatch.setattr(cli._OutputFile, "write", recording)
+    code, out, err = run_cli(capsys, "sweep", "--id", "thm1", *bounds,
+                             "--output", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+    assert bool(raised) == fails_in_write
 
 
 def test_failed_sweep_leaves_output_path_as_it_was(capsys, tmp_path):
@@ -374,11 +405,15 @@ def test_module_entry_point_subprocess():
     assert proc.stderr == ""
 
 
-@pytest.mark.parametrize("argv", [
+# one of each subcommand, each writing to standard output
+STDOUT_ARGVS = [
     ("compute", "psi", "--n", "80", "--m", "8", "--l", "20"),
     ("verify", "--id", "thm1", "--n-max", "2"),
     ("sweep", "--id", "thm1", "--n-max", "2"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", STDOUT_ARGVS)
 def test_a_stdout_reader_that_has_gone_exits_2_without_a_traceback(argv):
     read, write = os.pipe()
     os.close(read)
@@ -390,6 +425,22 @@ def test_a_stdout_reader_that_has_gone_exits_2_without_a_traceback(argv):
         os.close(write)
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", STDOUT_ARGVS)
+@pytest.mark.parametrize("redirect, error", [
+    pytest.param(">/dev/full", errno.ENOSPC, id="full"),
+    pytest.param(">&-", errno.EBADF, id="closed"),
+])
+def test_a_stdout_that_cannot_be_written_exits_2_without_a_traceback(argv, redirect,
+                                                                     error):
+    if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    proc = subprocess.run(["sh", "-c", f'"$@" {redirect}', "sh",
+                           sys.executable, "-m", "supercatalan", *argv],
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write standard output: {os.strerror(error)}\n"
 
 
 def test_a_stdout_reader_that_leaves_midway_exits_2_without_a_traceback():
@@ -422,4 +473,4 @@ def test_verify_json_format_available(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert [row["l"] for row in rows] == [1, 2, 3]
-    assert verifier.to_jsonl  # same serializer drives both subcommands
+    assert out == verifier.to_jsonl(verifier.sweep(["eq33"], verifier.GridBounds(l_max=3)))

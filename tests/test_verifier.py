@@ -647,6 +647,8 @@ def test_raising_check_becomes_failure_with_reason():
         assert result.status == "fail"
         assert result.reason == "ValueError: synthetic breakage"
         assert result.lhs == result.rhs == ""
+        assert ("  always-raises at n=0: lhs= rhs= (ValueError: synthetic breakage)\n"
+                in to_human(report))
     finally:
         REGISTRY.pop("always-raises")
 
