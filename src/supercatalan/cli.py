@@ -12,9 +12,12 @@ output that cannot be written (a closed pipe, a full device, a closed
 descriptor). All printed values are exact; rationals appear as p/q.
 
 A record stream (JSONL or CSV) is written one identity's batch at a time,
-as the sweep makes it, so a sweep holds the records of one identity and
-not the whole report. --output PATH takes the text only whole: a sweep
-that stops on an error or an interrupt leaves PATH as it found it.
+as the sweep makes it. The human table is written when the sweep ends,
+from a tally of each identity's status counts and failed records, so no
+format holds the whole report. --output PATH takes the text only whole: a
+sweep that stops on an error or an interrupt leaves PATH as it found it.
+An --output PATH that cannot be written, or a closed standard output,
+fails before the sweep.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import os
 import stat
 import sys
 import tempfile
+import time
+from collections import Counter
 from contextlib import nullcontext
 from functools import partial
 
@@ -212,9 +217,11 @@ class _OutputFile:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Both verify and sweep: check the arguments, then write the output.
 
-    A record stream is written one identity's batch at a time, so the sweep
-    holds the records of one identity, not the whole report; the human table
-    is made from the report that sweep returns.
+    Every format reads the sweep one identity's batch at a time and keeps a
+    tally of it: each identity's status counts and the fail rows. A record
+    stream writes each batch as it comes, and the human table is written
+    from the tally at the end, so no format holds the whole report. The
+    exit status comes from the same tally.
     """
     bounds = {name: getattr(args, name) for name in _BOUNDS
               if getattr(args, name) is not None}
@@ -226,24 +233,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("give either --all or --id, not both")
     if not (args.all or args.id):
         raise _UsageError("select identities with --all or --id")
+    if not args.output:
+        _write_stdout("")  # a closed standard output fails here, before the sweep
     ids = verifier.registry_ids() if args.all else args.id
     grid = verifier.GridBounds(**bounds)
-    failed = 0
+    names, counts, bad = [], Counter(), []
     with _OutputFile(args.output) if args.output else nullcontext(_write_stdout) as write:
+        started = time.perf_counter()
         try:
             # the sweep validates the selection, jobs and bounds
-            if args.format == "human":
-                report = verifier.sweep(ids, grid, jobs=args.jobs)
-                write(verifier.to_human(report, show_timestamp=not args.no_timestamp))
-                failed = report.failed
-            else:
-                for k, (_, rows) in enumerate(verifier._batches(ids, grid, args.jobs)):
+            for k, (name, rows) in enumerate(verifier._batches(ids, grid, args.jobs)):
+                names.append(name)
+                counts.update((name, r.status) for r in rows)
+                bad += [r for r in rows if r.status == "fail"]
+                if args.format != "human":
                     write(verifier._jsonl_text(rows) if args.format == "json"
                           else verifier._csv_text(rows, header=not k))
-                    failed += sum(r.status == "fail" for r in rows)
+            if args.format == "human":
+                stamp = None if args.no_timestamp else verifier._stamp(started)
+                write(verifier._human_text(names, counts, bad, grid, stamp))
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-    return 1 if failed else 0
+    return 1 if bad else 0
 
 
 def main(argv: list[str] | None = None) -> int:

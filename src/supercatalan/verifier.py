@@ -12,8 +12,10 @@ process pool, and always joins results in the same deterministic order:
 two invocations with the same arguments serialize to byte-identical
 reports regardless of the worker count. sweep joins the batches of one
 private generator, _batches, which yields each identity's records as they
-are made; the CLI reads it too and writes each batch through the per-batch
-writers that to_jsonl and to_csv wrap, so it never holds the whole report.
+are made. The CLI reads it too, for every format: it writes each record
+batch through the per-batch writers that to_jsonl and to_csv wrap, and the
+human table, at the end, through _human_text, the writer that to_human
+wraps, from a tally of the batches. So it never holds the whole report.
 
 sweep resolves each name once, in the calling process, and hands a pool
 the IdentitySpec itself, pickled once, with its check and domain by
@@ -651,6 +653,7 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     batches = list(_batches(names, grid, jobs))
     results = tuple(chain.from_iterable(rows for _, rows in batches))
     counts = Counter(r.status for r in results)
+    runtime_seconds, generated_at = _stamp(started)
     return Report(
         results=results,
         identities=tuple(name for name, _ in batches),
@@ -658,9 +661,14 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
         passed=counts["pass"],
         failed=counts["fail"],
         skipped=counts["skipped"],
-        runtime_seconds=time.perf_counter() - started,
-        generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        runtime_seconds=runtime_seconds,
+        generated_at=generated_at,
     )
+
+
+def _stamp(started: float) -> tuple[float, str]:
+    # the runtime since perf_counter read started, and the UTC time now
+    return time.perf_counter() - started, time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 # ---------------------------------------------------------------------------
@@ -744,16 +752,24 @@ def to_human(report: Report, show_timestamp: bool = True) -> str:
     Runtime and generation time are the only non-reproducible fields and
     are dropped when show_timestamp is false.
     """
-    counts = Counter((r.identity, r.status) for r in report.results)
+    stamp = (report.runtime_seconds, report.generated_at) if show_timestamp else None
+    return _human_text(report.identities,
+                       Counter((r.identity, r.status) for r in report.results),
+                       [r for r in report.results if r.status == "fail"], report.grid, stamp)
+
+
+def _human_text(names, counts, bad, grid: GridBounds, stamp: tuple[float, str] | None) -> str:
+    # to_human's table from a tally that can be kept batch by batch: the
+    # identities in order, a Counter of (identity, status), the fail rows in
+    # order, and (runtime, generated at), or None to omit both
     per = [[counts[name, s] for s in ("pass", "fail", "skipped")]
-           for name in report.identities]
+           for name in names]
     total = list(map(sum, zip((0, 0, 0), *per)))
-    width = max([len("identity")] + [len(name) for name in report.identities])
+    width = max([len("identity")] + [len(name) for name in names])
     line = ("{:<%d}" % width + "  {:>7}" * 4).format
     lines = [line("identity", "points", "pass", "fail", "skip")]
     lines += [line(name, sum(c), *c)
-              for name, c in zip((*report.identities, "total"), (*per, total))]
-    bad = [r for r in report.results if r.status == "fail"]
+              for name, c in zip((*names, "total"), (*per, total))]
     if bad:
         lines.append("")
         lines.append("failures:")
@@ -764,8 +780,8 @@ def to_human(report: Report, show_timestamp: bool = True) -> str:
             if r.reason:
                 detail += f" ({r.reason})"
             lines.append(detail)
-    lines.append(f"grid: {report.grid.describe()}")
-    if show_timestamp:
-        lines.append(f"runtime: {report.runtime_seconds:.3f}s")
-        lines.append(f"generated: {report.generated_at}")
+    lines.append(f"grid: {grid.describe()}")
+    if stamp is not None:
+        lines.append(f"runtime: {stamp[0]:.3f}s")
+        lines.append(f"generated: {stamp[1]}")
     return "".join(line + "\n" for line in lines)

@@ -109,6 +109,9 @@ def test_verify_human_summary(capsys):
     assert any(line.startswith("thm1") and " 9 " in line for line in lines)
     assert "grid: n<=2, l<=2, t<=n, m<=5" in out
     assert "runtime:" in out
+    # the two timed lines come once each, after the table
+    assert [line.split(":")[0] for line in lines[-2:]] == ["runtime", "generated"]
+    assert out.count("runtime:") == out.count("generated:") == 1
 
 
 def test_verify_no_timestamp_is_reproducible(capsys):
@@ -317,6 +320,42 @@ def test_a_streamed_sweep_holds_one_batch_not_the_report(tmp_path):
     assert peak <= 12 * 2**20, peak / 2**20
 
 
+def test_a_streamed_human_table_holds_the_tally_not_the_report(tmp_path):
+    # the table written from the whole report peaked near 14 MB
+    path = tmp_path / "wide.txt"
+    code = ("import sys, tracemalloc\n"
+            "from supercatalan.cli import main\n"
+            "tracemalloc.start()\n"
+            "status = main(['verify', '--all', '--n-max', '20', '--l-max', '10',\n"
+            "               '--no-timestamp', '--output', sys.argv[1]])\n"
+            "print(status, tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    status, peak = map(int, proc.stdout.split())
+    assert status == 0
+    total = next(line for line in path.read_text().splitlines() if line.startswith("total"))
+    assert total.split() == ["total", "43245", "43245", "0", "0"]
+    assert peak <= 8 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--all", "--default-grid"),
+    ("verify", "--all", "--default-grid", "--format", "csv"),
+    ("sweep", "--all", "--n-max", "2"),
+])
+def test_a_closed_stdout_fails_before_the_sweep(capsys, monkeypatch, argv):
+    def entered(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(verifier, "_batches", entered)
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(list(argv))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
+
+
 @pytest.mark.parametrize("argv, records", [
     (("--id", "eq33", "--id", "symmetry"), ["symmetry,0,0,,,1,1,pass,"]),
     (("--id", "eq33"), []),
@@ -348,6 +387,38 @@ def test_a_csv_stream_joins_template_and_csv_writer_batches(capsys):
     assert code == 1
     assert '"ValueError: at n=0, in a fixture"' in out
     assert out == expected
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("names, grid, status", [
+    pytest.param(("thm1", "has-comma-reason", "eq33"), verifier.GridBounds(n_max=2, l_max=2),
+                 1, id="failures"),
+    # eq33 has no point at l = 0, so its batch is empty and its row all zeros
+    pytest.param(("eq33", "symmetry"), verifier.GridBounds(n_max=1, l_max=0), 0,
+                 id="empty-batch"),
+    pytest.param(("eq33",), verifier.GridBounds(n_max=1, l_max=0), 0, id="only-empty"),
+])
+def test_the_human_table_is_written_from_the_batches(capsys, names, grid, status, jobs):
+    register(IdentitySpec("has-comma-reason", "csv quoting fixture", ("n",),
+                          verifier._any, _raises_with_a_comma))
+    try:
+        expected = verifier.to_human(verifier.sweep(names, grid), show_timestamp=False)
+        code, out, err = run_cli(capsys, "verify", *(f"--id={name}" for name in names),
+                                 "--n-max", str(grid.n_max), "--l-max", str(grid.l_max),
+                                 "--no-timestamp", "--jobs", jobs)
+    finally:
+        REGISTRY.pop("has-comma-reason")
+    assert (code, out, err) == (status, expected, "")
+    table = out.split("\ngrid: ")[0].split("\n\nfailures:\n")
+    rows = [line.split() for line in table[0].splitlines()[1:]]
+    # a sweep makes no skipped row, but the column stays
+    assert [row[0] for row in rows] == [*sorted(names), "total"]
+    assert all(row[4] == "0" for row in rows)
+    if grid.l_max == 0:
+        assert rows[sorted(names).index("eq33")] == ["eq33", "0", "0", "0", "0"]
+    if status:
+        assert "  has-comma-reason at n=0: lhs= rhs= (ValueError: at n=0, in a fixture)" \
+            in table[1].splitlines()
 
 
 WITNESS_IDS = ("thm3", "dlevel1", "eq104")

@@ -89,6 +89,20 @@ def test_memoized_route_is_safe_under_concurrent_readers():
     assert tables[0] == [_oracle.S(n, l) for n, l in points]
 
 
+def test_memoized_route_keeps_a_bounded_cache():
+    # the cache lives for the whole process and no memo scope empties it, so
+    # a loop over more keys than it holds must evict, not grow
+    info = super_catalan.cache_info()
+    assert info.maxsize is not None
+    side = 1 + int(info.maxsize ** 0.5)
+    for n in range(side):
+        for l in range(side):
+            assert super_catalan(n, l) == super_catalan_ratio(n, l)
+    info = super_catalan.cache_info()
+    assert side * side > info.maxsize
+    assert info.currsize <= info.maxsize
+
+
 def test_phi_known_values():
     assert phi(1, 0, 0) == 4
     assert phi(1, 0, 1) == -4
