@@ -11,12 +11,13 @@ usage errors, an --output file that cannot be written and a standard
 output that cannot be written (a closed pipe, a full device, a closed
 descriptor). All printed values are exact; rationals appear as p/q.
 
-A record stream (JSONL or CSV) is written one identity's batch at a time,
-as the sweep makes it. The human table is written when the sweep ends,
-from a tally of each identity's status counts and failed records, so no
-format holds the whole report. --output PATH takes the text only whole: a
-sweep that stops on an error or an interrupt leaves PATH as it found it.
-An --output PATH that cannot be written, or a closed standard output,
+verify and sweep write through one verifier writer, _write_sweep: a
+record stream (JSONL or CSV) one identity's batch at a time, as the sweep
+makes it, and the human table when the sweep ends, from a tally of each
+identity's status counts and failed records, so no format holds the whole
+report. --output PATH takes the text only whole: a sweep that stops on an
+error or an interrupt leaves PATH as it found it. An --output PATH that
+cannot be written, the empty PATH included, or a closed standard output,
 fails before the sweep.
 """
 
@@ -28,8 +29,6 @@ import os
 import stat
 import sys
 import tempfile
-import time
-from collections import Counter
 from contextlib import nullcontext
 from functools import partial
 
@@ -98,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--output", default=None, metavar="PATH")
         p.add_argument("--jobs", type=int, default=1)
-        p.set_defaults(func=_cmd_sweep)
+        p.set_defaults(func=_cmd_sweep, no_timestamp=False)
 
     ver = sub.add_parser("verify", help="sweep identities over a grid")
     add_sweep_args(ver, ("json", "csv", "human"), "human")
@@ -168,7 +167,9 @@ class _OutputFile:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self.target = os.path.realpath(path)
+        # realpath("") is the working directory; "" itself fails to open
+        # as open("", "w") does
+        self.target = path and os.path.realpath(path)
         self.fh = self.tmp = None
 
     def __enter__(self):
@@ -217,11 +218,11 @@ class _OutputFile:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Both verify and sweep: check the arguments, then write the output.
 
-    Every format reads the sweep one identity's batch at a time and keeps a
-    tally of it: each identity's status counts and the fail rows. A record
-    stream writes each batch as it comes, and the human table is written
-    from the tally at the end, so no format holds the whole report. The
-    exit status comes from the same tally.
+    The sweep and its output are verifier._write_sweep's: it writes each
+    record batch as it comes, or the human table from a tally at the end,
+    so no format holds the whole report, and it returns the number of fail
+    rows, from which the exit status comes. This function chooses only
+    where the text goes: standard output, or --output PATH.
     """
     bounds = {name: getattr(args, name) for name in _BOUNDS
               if getattr(args, name) is not None}
@@ -233,28 +234,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("give either --all or --id, not both")
     if not (args.all or args.id):
         raise _UsageError("select identities with --all or --id")
-    if not args.output:
+    if args.output is None:
         _write_stdout("")  # a closed standard output fails here, before the sweep
     ids = verifier.registry_ids() if args.all else args.id
-    grid = verifier.GridBounds(**bounds)
-    names, counts, bad = [], Counter(), []
-    with _OutputFile(args.output) if args.output else nullcontext(_write_stdout) as write:
-        started = time.perf_counter()
+    with nullcontext(_write_stdout) if args.output is None else _OutputFile(args.output) as write:
         try:
             # the sweep validates the selection, jobs and bounds
-            for k, (name, rows) in enumerate(verifier._batches(ids, grid, args.jobs)):
-                names.append(name)
-                counts.update((name, r.status) for r in rows)
-                bad += [r for r in rows if r.status == "fail"]
-                if args.format != "human":
-                    write(verifier._jsonl_text(rows) if args.format == "json"
-                          else verifier._csv_text(rows, header=not k))
-            if args.format == "human":
-                stamp = None if args.no_timestamp else verifier._stamp(started)
-                write(verifier._human_text(names, counts, bad, grid, stamp))
+            failed = verifier._write_sweep(ids, verifier.GridBounds(**bounds), args.jobs,
+                                           args.format, write, not args.no_timestamp)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-    return 1 if bad else 0
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,10 +12,11 @@ process pool, and always joins results in the same deterministic order:
 two invocations with the same arguments serialize to byte-identical
 reports regardless of the worker count. sweep joins the batches of one
 private generator, _batches, which yields each identity's records as they
-are made. The CLI reads it too, for every format: it writes each record
-batch through the per-batch writers that to_jsonl and to_csv wrap, and the
-human table, at the end, through _human_text, the writer that to_human
-wraps, from a tally of the batches. So it never holds the whole report.
+are made. The CLI's one writer, _write_sweep, reads it too, for every
+format: it writes each record batch through the per-batch writers that
+to_jsonl and to_csv wrap, and the human table, at the end, through
+_human_text, the writer that to_human wraps, from a tally of the batches.
+So it never holds the whole report.
 
 sweep resolves each name once, in the calling process, and hands a pool
 the IdentitySpec itself, pickled once, with its check and domain by
@@ -785,3 +786,23 @@ def _human_text(names, counts, bad, grid: GridBounds, stamp: tuple[float, str] |
         lines.append(f"runtime: {stamp[0]:.3f}s")
         lines.append(f"generated: {stamp[1]}")
     return "".join(line + "\n" for line in lines)
+
+
+def _write_sweep(names, grid: GridBounds, jobs: int, fmt: str, write: Callable[[str], None],
+                 show_timestamp: bool = True) -> int:
+    # the CLI's sweep, handed to write one text at a time: for fmt "json" or
+    # "csv" each batch's records as they come, the CSV header with the first;
+    # for "human" to_human's table after the last, from a tally of the
+    # identities in order, a Counter of (identity, status) and the fail rows.
+    # It holds one batch, not the report, and returns the number of fail rows
+    started = time.perf_counter()
+    swept, counts, bad = [], Counter(), []
+    for k, (name, rows) in enumerate(_batches(names, grid, jobs)):
+        swept.append(name)
+        counts.update((name, r.status) for r in rows)
+        bad += [r for r in rows if r.status == "fail"]
+        if fmt != "human":
+            write(_jsonl_text(rows) if fmt == "json" else _csv_text(rows, header=not k))
+    if fmt == "human":
+        write(_human_text(swept, counts, bad, grid, _stamp(started) if show_timestamp else None))
+    return len(bad)

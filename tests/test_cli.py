@@ -180,25 +180,29 @@ def test_sweep_output_file_matches_stdout(capsys, tmp_path, monkeypatch, write_s
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-def test_unwritable_output_exits_2(capsys, tmp_path):
-    path = tmp_path / "missing" / "x.jsonl"
-    code, out, err = run_cli(capsys, "sweep", "--id", "thm1", "--n-max", "1",
-                             "--output", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write {path}: ")
-    assert "No such file or directory" in err
-    assert "Traceback" not in err
+def test_unwritable_output_exits_2(capsys, tmp_path, monkeypatch):
+    # the empty PATH fails as open("", "w") does, and leaves the working
+    # directory, which realpath("") names, as it was
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path / "missing" / "x.jsonl", ""):
+        code, out, err = run_cli(capsys, "sweep", "--id", "thm1", "--n-max", "1",
+                                 "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "No such file or directory" in err
+        assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_unwritable_output_fails_before_the_sweep(capsys, tmp_path, monkeypatch):
     # every sweep, streamed or through verifier.sweep, runs _batches
     calls = []
     monkeypatch.setattr(verifier, "_batches", lambda *a, **kw: calls.append(a))
-    path = tmp_path / "missing" / "x.jsonl"
-    code, out, err = run_cli(capsys, "sweep", "--all", "--n-max", "20",
-                             "--output", str(path))
-    assert (code, out, calls) == (2, "", [])
-    assert err.startswith(f"error: cannot write {path}: ")
+    for path in (tmp_path / "missing" / "x.jsonl", ""):
+        code, out, err = run_cli(capsys, "sweep", "--all", "--n-max", "20",
+                                 "--output", str(path))
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith(f"error: cannot write {path}: ")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -302,41 +306,30 @@ def test_output_is_written_as_open_for_writing_would(capsys, tmp_path):
                                             "reference", "target.jsonl"]
 
 
-def test_a_streamed_sweep_holds_one_batch_not_the_report(tmp_path):
-    # 43,245 records; the whole report and its JSONL text peak near 23 MB
-    path = tmp_path / "wide.jsonl"
-    code = ("import sys, tracemalloc\n"
-            "from supercatalan.cli import main\n"
-            "tracemalloc.start()\n"
-            "status = main(['sweep', '--all', '--n-max', '20', '--l-max', '10',\n"
-            "               '--output', sys.argv[1]])\n"
-            "print(status, tracemalloc.get_traced_memory()[1])\n")
-    proc = subprocess.run([sys.executable, "-c", code, str(path)],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    status, peak = map(int, proc.stdout.split())
-    assert status == 0
-    assert path.read_bytes().count(b"\n") == 43245
-    assert peak <= 12 * 2**20, peak / 2**20
-
-
-def test_a_streamed_human_table_holds_the_tally_not_the_report(tmp_path):
+@pytest.mark.parametrize("argv, bound_mb, holds", [
+    # 43,245 records; the whole report and its JSONL text peaked near 23 MB
+    pytest.param(["sweep", "--all", "--n-max", "20", "--l-max", "10"], 12,
+                 lambda text: text.count("\n") == 43245, id="jsonl"),
     # the table written from the whole report peaked near 14 MB
-    path = tmp_path / "wide.txt"
+    pytest.param(["verify", "--all", "--n-max", "20", "--l-max", "10", "--no-timestamp"], 8,
+                 lambda text: ["total", "43245", "43245", "0", "0"]
+                 in map(str.split, text.splitlines()), id="human"),
+])
+def test_a_streamed_sweep_holds_one_batch_and_the_tally_not_the_report(tmp_path, argv,
+                                                                        bound_mb, holds):
+    path = tmp_path / "wide.out"
     code = ("import sys, tracemalloc\n"
             "from supercatalan.cli import main\n"
             "tracemalloc.start()\n"
-            "status = main(['verify', '--all', '--n-max', '20', '--l-max', '10',\n"
-            "               '--no-timestamp', '--output', sys.argv[1]])\n"
+            "status = main(sys.argv[2:] + ['--output', sys.argv[1]])\n"
             "print(status, tracemalloc.get_traced_memory()[1])\n")
-    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+    proc = subprocess.run([sys.executable, "-c", code, str(path), *argv],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     status, peak = map(int, proc.stdout.split())
     assert status == 0
-    total = next(line for line in path.read_text().splitlines() if line.startswith("total"))
-    assert total.split() == ["total", "43245", "43245", "0", "0"]
-    assert peak <= 8 * 2**20, peak / 2**20
+    assert holds(path.read_text())
+    assert peak <= bound_mb * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("argv", [
@@ -359,9 +352,12 @@ def test_a_closed_stdout_fails_before_the_sweep(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv, records", [
     (("--id", "eq33", "--id", "symmetry"), ["symmetry,0,0,,,1,1,pass,"]),
     (("--id", "eq33"), []),
+    (("--id", "eq33", "--id", "symmetry", "--jobs", "2"), ["symmetry,0,0,,,1,1,pass,"]),
+    (("--id", "eq33", "--jobs", "2"), []),
 ])
 def test_a_csv_stream_has_one_header_whatever_its_batches_hold(capsys, argv, records):
-    # eq33 has no point at l = 0, so its batch is empty
+    # eq33 has no point at l = 0, so its batch is empty; at --jobs 2 the
+    # eq33 + symmetry sweep runs in the pool with that empty batch first
     code, out, _ = run_cli(capsys, "sweep", *argv, "--l-max", "0", "--n-max", "0",
                            "--format", "csv")
     assert code == 0
