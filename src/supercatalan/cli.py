@@ -234,10 +234,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("give either --all or --id, not both")
     if not (args.all or args.id):
         raise _UsageError("select identities with --all or --id")
-    if args.output is None:
-        _write_stdout("")  # a closed standard output fails here, before the sweep
     ids = verifier.registry_ids() if args.all else args.id
     with nullcontext(_write_stdout) if args.output is None else _OutputFile(args.output) as write:
+        write("")  # a closed standard output fails here, before the sweep
         try:
             # the sweep validates the selection, jobs and bounds
             failed = verifier._write_sweep(ids, verifier.GridBounds(**bounds), args.jobs,

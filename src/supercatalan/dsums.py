@@ -101,21 +101,22 @@ what is memoized and never opens a scope: the verifier does, for a sweep,
 each pool worker and each run_check, and a library caller can open
 exactnum.memo_scope around a batch of calls to have them share their rows.
 The rows that go with one n are held for one n at a time, in one memoized
-slot per kind: the summand rows f(n, k, l) of every f and l, the weight
-rows Q(n, j, t), the step rows P(n, j), the direct rows of the levels
-below that d_sum_step reads, and the lift vectors of the levels that were
-asked for. Another n empties the slot of its kind only, so the direct sums
-of length 2n that d_psi_level1 takes and the witness's lift vectors of n
-do not evict each other. A sweep runs its points in ascending n, so inside
-a scope the direct sums of one (n, l) evaluate f n + 1 times, whatever j
-and t they take; outside a scope each call builds its rows and keeps
-nothing. A lift starts from the highest held vector at or below its
-target, or from d_0; the levels in between are locals. A sweep to m_max
-thus holds m_max - 1 vectors, and a lift to level 3000 holds one. Of the D
-values, only the direct rows are held: eq13 asks for D(n, j', t-1) once
-for each j <= j' at its point (n, l, t), and no other point reads that
-row. d_psi_level1 asks for each of its D values once, so a table of those
-would only hold memory.
+slot per function that builds them: the summand rows f(n, k, l) of every
+f and l (_summand_row), the weight rows Q(n, j, t) (_direct_weights), the
+step rows P(n, j) (_step_weights), the direct rows of the levels below
+that d_sum_step reads (_direct_row), and the lift vectors of the levels
+that were asked for (_lift_vectors). Another n empties the slot of its
+builder only, so the direct sums of length 2n that d_psi_level1 takes and
+the witness's lift vectors of n do not evict each other. A sweep runs its
+points in ascending n, so inside a scope the direct sums of one (n, l)
+evaluate f n + 1 times, whatever j and t they take; outside a scope each
+call builds its rows and keeps nothing. A lift starts from the highest
+held vector at or below its target, or from d_0; the levels in between
+are locals. A sweep to m_max thus holds m_max - 1 vectors, and a lift to
+level 3000 holds one. Of the D values, only the direct rows are held:
+eq13 asks for D(n, j', t-1) once for each j <= j' at its point (n, l, t),
+and no other point reads that row. d_psi_level1 asks for each of its D
+values once, so a table of those would only hold memory.
 """
 
 from __future__ import annotations
@@ -160,27 +161,23 @@ def _pascal(N: int) -> tuple[int, ...]:
 
 
 @memoized
-def _slot(kind: str) -> list:
-    # [(n, {key: row})]: the rows of one kind for the n asked for last.
-    # Memoized on the kind, so an open scope holds one slot per kind and a
-    # bare call gets a fresh one, which goes with it. Threads that share a
-    # scope may overwrite each other's n; each still reads its own rows
+def _slot(build: Callable) -> list:
+    # [(n, {key: row})]: the rows build made for the n asked for last.
+    # Memoized on the builder, so an open scope holds one slot per builder
+    # and a bare call gets a fresh one, which goes with it. Threads that
+    # share a scope may overwrite each other's n; each still reads its own
+    # rows, as the (n, rows) pair is swapped and read whole
     return [(None, {})]
 
 
-def _rows(kind: str, n: int) -> dict:
-    # the held rows of kind for n; asking for another n empties the slot
-    slot = _slot(kind)
+def _held(build: Callable, n: int, *key):
+    # build(n, *key), kept in build's slot while n is its n; asking for
+    # another n empties that slot only
+    slot = _slot(build)
     held, rows = slot[0]
     if held != n:
         rows = {}
         slot[0] = (n, rows)
-    return rows
-
-
-def _held(kind: str, build: Callable, n: int, *key) -> tuple[int, ...]:
-    # build(n, *key), kept in the slot of kind while n is its n
-    rows = _rows(kind, n)
     row = rows.get(key)
     if row is None:
         row = rows[key] = build(n, *key)
@@ -218,7 +215,7 @@ def _direct_weights(n: int, j: int, t: int) -> tuple[int, ...]:
 def _direct(fs: tuple[int, ...], n: int, j: int, t: int) -> int:
     # D(n, j, t): the weights Q(n, j, t) against the window [j, n-j] of the
     # summand row fs
-    return sum(map(mul, _held("direct", _direct_weights, n, j, t), fs[j:n - j + 1]))
+    return sum(map(mul, _held(_direct_weights, n, j, t), fs[j:n - j + 1]))
 
 
 def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
@@ -226,12 +223,12 @@ def d_sum_direct(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j, l, "j")
     if t < 0:
         raise ValueError(f"level must be non-negative, got {t}")
-    return _direct(_held("summand", _summand_row, n, f, l), n, j, t)
+    return _direct(_held(_summand_row, n, f, l), n, j, t)
 
 
 def _direct_row(n: int, f: Summand, t: int, l: int) -> tuple[int, ...]:
     # D(n, j, t) for j = 0..n//2, one summand row read for all of them
-    fs = _held("summand", _summand_row, n, f, l)
+    fs = _held(_summand_row, n, f, l)
     return tuple(_direct(fs, n, j, t) for j in range(n // 2 + 1))
 
 
@@ -249,8 +246,8 @@ def d_sum_step(f: Summand, n: int, j: int, t: int, l: int) -> int:
     _check_window(n, j, l, "j")
     if t < 1:
         raise ValueError(f"level recurrence needs t >= 1, got {t}")
-    below = _held("level", _direct_row, n, f, t - 1, l)
-    return sum(map(mul, _held("step", _step_weights, n, j), below[j:]))
+    below = _held(_direct_row, n, f, t - 1, l)
+    return sum(map(mul, _held(_step_weights, n, j), below[j:]))
 
 
 def a_t(f: Summand, n: int, t: int, l: int) -> int:
@@ -366,7 +363,7 @@ def _lift(n: int, level: int) -> tuple[int, ...]:
     # the level-1 weights of (n, l), for every l. A lift starts from the
     # highest held vector of n at or below the target, or from d_0 = e_0, and
     # keeps the target's; the vectors in between stay local.
-    vectors = _rows("lift", n)
+    vectors = _held(_lift_vectors, n)
     d = vectors.get(level)
     if d is None:
         top = max((t for t in vectors if t < level), default=0)
@@ -375,6 +372,11 @@ def _lift(n: int, level: int) -> tuple[int, ...]:
             d = _lift_step(d, n)
         vectors[level] = d
     return d
+
+
+def _lift_vectors(n: int) -> dict:
+    # the lift vectors of n that were asked for, by level: none at first
+    return {}
 
 
 def _lift_step(d: tuple[int, ...], n: int) -> tuple[int, ...]:

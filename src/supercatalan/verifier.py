@@ -793,15 +793,17 @@ def _write_sweep(names, grid: GridBounds, jobs: int, fmt: str, write: Callable[[
     # the CLI's sweep, handed to write one text at a time: for fmt "json" or
     # "csv" each batch's records as they come, the CSV header with the first;
     # for "human" to_human's table after the last, from a tally of the
-    # identities in order, a Counter of (identity, status) and the fail rows.
-    # It holds one batch, not the report, and returns the number of fail rows
+    # identities in order and a Counter of (identity, status), kept for that
+    # format only, and the fail rows. It holds one batch, not the report, and
+    # returns the number of fail rows
     started = time.perf_counter()
     swept, counts, bad = [], Counter(), []
     for k, (name, rows) in enumerate(_batches(names, grid, jobs)):
-        swept.append(name)
-        counts.update((name, r.status) for r in rows)
         bad += [r for r in rows if r.status == "fail"]
-        if fmt != "human":
+        if fmt == "human":
+            swept.append(name)
+            counts.update((name, r.status) for r in rows)
+        else:
             write(_jsonl_text(rows) if fmt == "json" else _csv_text(rows, header=not k))
     if fmt == "human":
         write(_human_text(swept, counts, bad, grid, _stamp(started) if show_timestamp else None))

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import multiprocessing
 import os
 import stat
 import subprocess
@@ -347,6 +348,28 @@ def test_a_closed_stdout_fails_before_the_sweep(capsys, monkeypatch, argv):
     assert code == 2
     assert capsys.readouterr().err == \
         f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
+
+
+def test_a_pooled_sweep_whose_writer_fails_midway_exits_2_and_ends_its_pool(capsys,
+                                                                           monkeypatch):
+    # the probe passes and the first batch's write fails while the pool runs;
+    # cpu_count is pinned to 2 so the pool runs on a one-CPU machine too
+    texts = []
+
+    def failing(text):
+        texts.append(text)
+        if text:
+            raise cli._UsageError("cannot write standard output: No space left on device")
+
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_write_stdout", failing)
+    code, out, err = run_cli(capsys, "sweep", "--all", "--n-max", "20", "--l-max", "10",
+                             "--jobs", "2")
+    assert code == 2
+    assert texts[0] == "" and len(texts) == 2
+    assert err == "error: cannot write standard output: No space left on device\n"
+    assert out == ""
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("argv, records", [

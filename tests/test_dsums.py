@@ -365,8 +365,15 @@ def test_each_sum_takes_binomials_per_walk_not_per_term(monkeypatch):
         psi_quotient_witness(n, 4, l)
         assert dict(calls) == {"step": 2}
         assert dsums._pascal.cache_info().misses - misses == n + 2
-        held, vectors = dsums._slot("lift")[0]
-        assert held == n and sorted(vectors) == [0, 2]
+        held, rows = dsums._slot(dsums._lift_vectors)[0]
+        assert held == n and sorted(rows[()]) == [0, 2]
+        # the direct sums of length 2n that d_psi_level1 takes have slots of
+        # their own: the lift vectors of n stay held beside the rows of 2n
+        d_psi_level1(n, 1, l)
+        assert dsums._slot(dsums._lift_vectors)[0] == (n, rows)
+        assert sorted(rows[()]) == [0, 2]
+        assert dsums._slot(dsums._summand_row)[0][0] == 2 * n
+        assert dsums._slot(dsums._direct_weights)[0][0] == 2 * n
     # the direct sums of one (2n, l), every j: one summand row, and one
     # Pascal row per distinct upper index 2n - j or 2n
     summand = counting("summand", psi_summand)
@@ -521,9 +528,9 @@ def test_a_lift_starts_from_the_highest_held_vector(monkeypatch):
         assert dsums._lift(n, 6) == bare[6]  # held
         assert dsums._lift(n, 0) == bare[0]  # d_0 itself, no step
         assert len(steps) == 4 + 2 + 3 + 1
-        held, vectors = dsums._slot("lift")[0]
-        assert held == n and vectors == {level: bare[level] for level in (0, 3, 4, 5, 6)}
+        held, rows = dsums._slot(dsums._lift_vectors)[0]
+        assert held == n and rows == {(): {level: bare[level] for level in (0, 3, 4, 5, 6)}}
         dsums._lift(n + 1, 2)  # another n empties the slot
-        held, vectors = dsums._slot("lift")[0]
-        assert held == n + 1 and list(vectors) == [2]
+        held, rows = dsums._slot(dsums._lift_vectors)[0]
+        assert held == n + 1 and list(rows[()]) == [2]
         assert len(steps) == 4 + 2 + 3 + 1 + 2

@@ -792,8 +792,8 @@ def test_a_thm3_sweep_holds_the_lift_vectors_of_one_n(memo_oracle):
         held = [row for table in exactnum._tables for value in table.values()
                 for row in _rows_in(value)]
         assert [n for n in vectors if any(c in held for c in vectors[n])] == [6]
-        n, levels = dsums._slot("lift")[0]
-        assert n == 6 and sorted(levels) == list(range(7))  # m = 2..8
+        n, lifts = dsums._slot(dsums._lift_vectors)[0]
+        assert n == 6 and sorted(lifts[()]) == list(range(7))  # m = 2..8
         assert all(c in held for c in vectors[6])
         assert not any(row in held for row in rows)
         assert dsums._level1_weights.cache_info().currsize == 7 * 4  # one per (n, l)
@@ -962,8 +962,9 @@ def test_a_sweep_holds_the_summand_and_weight_rows_of_one_n():
         assert sweep(["dlevel1", "eq13"], GridBounds(n_max=last, l_max=2)).failed == 0
         held = {row for table in exactnum._tables for value in table.values()
                 for row in _rows_in(value) if all(type(x) is int for x in row)}
-        kinds = ("summand", "direct", "step", "level")
-        assert {dsums._slot(kind)[0][0] for kind in kinds} == {last}
+        builders = (dsums._summand_row, dsums._direct_weights, dsums._step_weights,
+                    dsums._direct_row)
+        assert {dsums._slot(build)[0][0] for build in builders} == {last}
         assert rows(last) <= held
         assert not held & other
 
