@@ -12,13 +12,13 @@ output that cannot be written (a closed pipe, a full device, a closed
 descriptor). All printed values are exact; rationals appear as p/q.
 
 verify and sweep write through one verifier writer, _write_sweep: a
-record stream (JSONL or CSV) one identity's batch at a time, as the sweep
-makes it, and the human table when the sweep ends, from a tally of each
-identity's status counts and failed records, so no format holds the whole
-report. --output PATH takes the text only whole: a sweep that stops on an
-error or an interrupt leaves PATH as it found it. An --output PATH that
-cannot be written, the empty PATH included, or a closed standard output,
-fails before the sweep.
+record stream (JSONL or CSV) one n-block at a time, as the sweep makes it,
+and the human table when the sweep ends, from a tally of each identity's
+status counts and failed records, so no format holds the whole report.
+--output PATH takes the text only whole: a sweep that stops on an error or
+an interrupt leaves PATH as it found it. An --output PATH that cannot be
+written, the empty PATH included, or a closed standard output, fails
+before the sweep.
 """
 
 from __future__ import annotations

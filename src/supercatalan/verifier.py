@@ -11,12 +11,12 @@ domain with the grid, one identity per unit of work, serially or over a
 process pool, and always joins results in the same deterministic order:
 two invocations with the same arguments serialize to byte-identical
 reports regardless of the worker count. sweep joins the batches of one
-private generator, _batches, which yields each identity's records as they
-are made. The CLI's one writer, _write_sweep, reads it too, for every
-format: it writes each record batch through the per-batch writers that
-to_jsonl and to_csv wrap, and the human table, at the end, through
-_human_text, the writer that to_human wraps, from a tally of the batches.
-So it never holds the whole report.
+private generator, _batches, which yields one n-block at a time: an
+identity's records at one n, or all of them if it takes no n. The CLI's
+one writer, _write_sweep, reads it too, for every format: it writes each
+n-block through the per-batch writers that to_jsonl and to_csv wrap, and
+the human table, at the end, through _human_text, the writer that
+to_human wraps, from a tally of the blocks. So it never holds the report.
 
 sweep resolves each name once, in the calling process, and hands a pool
 the IdentitySpec itself, pickled once, with its check and domain by
@@ -545,13 +545,16 @@ def _axes(spec: IdentitySpec, grid: GridBounds) -> list:
             for p, lo, hi in zip(_PARAMS, _FLOORS, highs)]
 
 
-def _sweep_identity(spec: IdentitySpec, grid: GridBounds) -> list[CheckResult]:
-    # one identity's results in key order: the unit of work of a sweep
-    return [row for row in map(_row, repeat(spec), product(*_axes(spec, grid)))
-            if row is not None]
+def _sweep_identity(spec: IdentitySpec, grid: GridBounds) -> Iterator[list[CheckResult]]:
+    # one identity's results in key order, the unit of work of a sweep, as
+    # n-blocks: a list, maybe empty, for each n, or one if it takes no n
+    ns, *rest = _axes(spec, grid)
+    for n in ns:
+        yield [row for row in map(_row, repeat(spec), product((n,), *rest))
+               if row is not None]
 
 
-def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds) -> list[CheckResult]:
+def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds) -> list[list[CheckResult]]:
     # a pool's unit of work: the spec is unpickled here, inside the task, so
     # a worker that cannot load it fails this task with its name, not the pool
     import pickle
@@ -561,7 +564,7 @@ def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds) -> list[CheckResul
     except Exception as exc:
         raise ValueError(f"identity {name!r} cannot be loaded in a worker "
                          f"process: {exc}") from exc
-    return _sweep_identity(spec, grid)
+    return list(_sweep_identity(spec, grid))
 
 
 class Report(NamedTuple):
@@ -578,9 +581,9 @@ class Report(NamedTuple):
 
 
 def _batches(names, grid: GridBounds, jobs: int) -> Iterator[tuple[str, list[CheckResult]]]:
-    # sweep's evaluation, one identity's records at a time: every argument
-    # check is made before the first batch, and the batches come in sorted
-    # name order from the serial memo scope or from the pool's map
+    # sweep's evaluation, one n-block at a time: every argument check is
+    # made before the first block, and the blocks come in sorted name order,
+    # each as made in the serial memo scope, or an identity's from the pool
     if not isinstance(grid, GridBounds):
         raise TypeError(f"grid must be a GridBounds, got {grid!r}")
     for name, value in zip(GridBounds._fields, grid):
@@ -614,7 +617,8 @@ def _batches(names, grid: GridBounds, jobs: int) -> Iterator[tuple[str, list[Che
     if workers <= 1:
         with memo_scope:
             for spec in specs:
-                yield spec.name, _sweep_identity(spec, grid)
+                for block in _sweep_identity(spec, grid):
+                    yield spec.name, block
     else:
         # the pool pulls in multiprocessing, socket and pickle: a serial
         # sweep and the CLI's cold start do not pay for them
@@ -622,8 +626,9 @@ def _batches(names, grid: GridBounds, jobs: int) -> Iterator[tuple[str, list[Che
         # a pool worker memoizes for its whole life; its tables go with it
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=memo_scope.__enter__) as pool:
-            yield from zip((spec.name for spec in specs),
-                           pool.map(_sweep_pickled, tasks, repeat(grid)))
+            for spec, blocks in zip(specs, pool.map(_sweep_pickled, tasks, repeat(grid))):
+                for block in blocks:
+                    yield spec.name, block
 
 
 def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
@@ -657,7 +662,7 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     runtime_seconds, generated_at = _stamp(started)
     return Report(
         results=results,
-        identities=tuple(name for name, _ in batches),
+        identities=tuple(dict.fromkeys(name for name, _ in batches)),
         grid=grid,
         passed=counts["pass"],
         failed=counts["fail"],
@@ -694,7 +699,7 @@ def to_jsonl(report: Report) -> str:
 
 
 def _jsonl_text(rows) -> str:
-    # to_jsonl's lines for any run of records, such as one identity's batch
+    # to_jsonl's lines for any run of records, such as one n-block
     quote = encode_basestring_ascii
     return "".join(
         _JSONL_LINE % (quote(identity), "null" if n is None else n,
@@ -725,7 +730,7 @@ def to_csv(report: Report) -> str:
 
 
 def _csv_text(rows, header: bool) -> str:
-    # to_csv's lines for any run of records, such as one identity's batch,
+    # to_csv's lines for any run of records, such as one n-block,
     # after the header line or without it. csv.writer writes each row on its
     # own, so the texts of consecutive runs join to the text of the whole,
     # and the template check is exact for each text by itself
@@ -791,20 +796,22 @@ def _human_text(names, counts, bad, grid: GridBounds, stamp: tuple[float, str] |
 def _write_sweep(names, grid: GridBounds, jobs: int, fmt: str, write: Callable[[str], None],
                  show_timestamp: bool = True) -> int:
     # the CLI's sweep, handed to write one text at a time: for fmt "json" or
-    # "csv" each batch's records as they come, the CSV header with the first;
-    # for "human" to_human's table after the last, from a tally of the
-    # identities in order and a Counter of (identity, status), kept for that
-    # format only, and the fail rows. It holds one batch, not the report, and
-    # returns the number of fail rows
+    # "csv" each n-block's records as they come, the CSV header with the
+    # first; for "human" to_human's table after the last, from a tally kept
+    # for that format only: the identities in order, each once, a Counter of
+    # (identity, status), and the fail rows, which JSONL and CSV only count.
+    # It holds one n-block, not the report, and returns the fail row count
     started = time.perf_counter()
-    swept, counts, bad = [], Counter(), []
+    swept, counts, bad, failed = {}, Counter(), [], 0
     for k, (name, rows) in enumerate(_batches(names, grid, jobs)):
-        bad += [r for r in rows if r.status == "fail"]
         if fmt == "human":
-            swept.append(name)
+            swept[name] = None
             counts.update((name, r.status) for r in rows)
+            bad += [r for r in rows if r.status == "fail"]
         else:
+            failed += sum(r.status == "fail" for r in rows)
             write(_jsonl_text(rows) if fmt == "json" else _csv_text(rows, header=not k))
     if fmt == "human":
         write(_human_text(swept, counts, bad, grid, _stamp(started) if show_timestamp else None))
-    return len(bad)
+        return len(bad)
+    return failed

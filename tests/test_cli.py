@@ -248,14 +248,16 @@ def test_failed_sweep_leaves_output_path_as_it_was(capsys, tmp_path):
 @pytest.mark.parametrize("interrupt", [RuntimeError, KeyboardInterrupt])
 def test_a_sweep_that_raises_midway_leaves_output_path_as_it_was(tmp_path, monkeypatch,
                                                                   interrupt):
-    # eq18's records are written before the batch of eq33 raises
+    # eq18's records and eq22's block at n = 0 are written before eq22 raises
+    # at n = 1
     swept = []
 
     def second_raises(spec, grid):
         swept.append(spec.name)
-        if len(swept) == 2:
-            raise interrupt("stopped mid-sweep")
-        return sweep_identity(spec, grid)
+        for n, block in enumerate(sweep_identity(spec, grid)):
+            if len(swept) == 2 and n == 1:
+                raise interrupt("stopped mid-sweep")
+            yield block
 
     sweep_identity = verifier._sweep_identity
     monkeypatch.setattr(verifier, "_sweep_identity", second_raises)
@@ -265,9 +267,9 @@ def test_a_sweep_that_raises_midway_leaves_output_path_as_it_was(tmp_path, monke
     for path in (kept, absent):
         swept.clear()
         with pytest.raises(interrupt):
-            main(["sweep", "--id", "thm1", "--id", "eq18", "--id", "eq33",
+            main(["sweep", "--id", "thm1", "--id", "eq18", "--id", "eq22",
                   "--n-max", "3", "--output", str(path)])
-        assert swept == ["eq18", "eq33"]
+        assert swept == ["eq18", "eq22"]
     assert kept.read_bytes() == b"earlier report\n"
     assert sorted(os.listdir(tmp_path)) == ["kept.jsonl"]
 
@@ -307,6 +309,21 @@ def test_output_is_written_as_open_for_writing_would(capsys, tmp_path):
                                             "reference", "target.jsonl"]
 
 
+def _traced_main(path, argv, setup=""):
+    # main(argv + ["--output", path]) in a fresh interpreter, after the code
+    # setup: its exit status and its tracemalloc peak in bytes
+    code = ("import sys, tracemalloc\n"
+            "from supercatalan.cli import main\n"
+            f"{setup}"
+            "tracemalloc.start()\n"
+            "status = main(sys.argv[2:] + ['--output', sys.argv[1]])\n"
+            "print(status, tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(path), *argv],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(int, proc.stdout.split()))
+
+
 @pytest.mark.parametrize("argv, bound_mb, holds", [
     # 43,245 records; the whole report and its JSONL text peaked near 23 MB
     pytest.param(["sweep", "--all", "--n-max", "20", "--l-max", "10"], 12,
@@ -315,22 +332,37 @@ def test_output_is_written_as_open_for_writing_would(capsys, tmp_path):
     pytest.param(["verify", "--all", "--n-max", "20", "--l-max", "10", "--no-timestamp"], 8,
                  lambda text: ["total", "43245", "43245", "0", "0"]
                  in map(str.split, text.splitlines()), id="human"),
+    # 5,456 records of one identity; written as one batch it peaked near 3.6 MiB
+    pytest.param(["sweep", "--id", "dlevel1", "--n-max", "30", "--l-max", "10",
+                  "--format", "csv"], 2,
+                 lambda text: text.count("\n") == 5457 and text.count("identity,") == 1,
+                 id="n-blocks"),
 ])
 def test_a_streamed_sweep_holds_one_batch_and_the_tally_not_the_report(tmp_path, argv,
                                                                         bound_mb, holds):
     path = tmp_path / "wide.out"
-    code = ("import sys, tracemalloc\n"
-            "from supercatalan.cli import main\n"
-            "tracemalloc.start()\n"
-            "status = main(sys.argv[2:] + ['--output', sys.argv[1]])\n"
-            "print(status, tracemalloc.get_traced_memory()[1])\n")
-    proc = subprocess.run([sys.executable, "-c", code, str(path), *argv],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    status, peak = map(int, proc.stdout.split())
+    status, peak = _traced_main(path, argv)
     assert status == 0
     assert holds(path.read_text())
     assert peak <= bound_mb * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_record_stream_counts_its_fail_rows_and_keeps_none(tmp_path, fmt):
+    # 35,301 fail rows: kept for their count, they peaked near 8 MiB in
+    # n-blocks and near 17 MiB in one batch; one n-block's records and text
+    # fit in 2 MiB
+    setup = ("from supercatalan import verifier\n"
+             "def fails(n, l, t, m):\n"
+             "    return n, -1\n"
+             "verifier.register(verifier.IdentitySpec(\n"
+             "    'fails', 'fixture', ('n', 'l', 't'), verifier._any, fails))\n")
+    path = tmp_path / "failing.out"
+    status, peak = _traced_main(path, ["sweep", "--id", "fails", "--n-max", "40",
+                                       "--l-max", "20", "--format", fmt], setup)
+    assert status == 1
+    assert path.read_text().count("\n") == 35301 + (fmt == "csv")
+    assert peak <= 2 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("argv", [
@@ -416,12 +448,16 @@ def test_a_csv_stream_joins_template_and_csv_writer_batches(capsys):
     pytest.param(("eq33", "symmetry"), verifier.GridBounds(n_max=1, l_max=0), 0,
                  id="empty-batch"),
     pytest.param(("eq33",), verifier.GridBounds(n_max=1, l_max=0), 0, id="only-empty"),
+    # remark4 has its one point at n = 4, so its blocks at n = 0..3 are empty
+    pytest.param(("remark4", "thm1"), verifier.GridBounds(n_max=5, l_max=2), 0,
+                 id="empty-leading-blocks"),
 ])
 def test_the_human_table_is_written_from_the_batches(capsys, names, grid, status, jobs):
     register(IdentitySpec("has-comma-reason", "csv quoting fixture", ("n",),
                           verifier._any, _raises_with_a_comma))
     try:
         expected = verifier.to_human(verifier.sweep(names, grid), show_timestamp=False)
+        report = verifier.sweep(names, grid, int(jobs))
         code, out, err = run_cli(capsys, "verify", *(f"--id={name}" for name in names),
                                  "--n-max", str(grid.n_max), "--l-max", str(grid.l_max),
                                  "--no-timestamp", "--jobs", jobs)
@@ -430,11 +466,16 @@ def test_the_human_table_is_written_from_the_batches(capsys, names, grid, status
     assert (code, out, err) == (status, expected, "")
     table = out.split("\ngrid: ")[0].split("\n\nfailures:\n")
     rows = [line.split() for line in table[0].splitlines()[1:]]
-    # a sweep makes no skipped row, but the column stays
+    # a sweep makes no skipped row, but the column stays; each identity is
+    # listed once, however many blocks it has
+    assert report.identities == tuple(sorted(names))
+    assert verifier.to_human(report, show_timestamp=False) == expected
     assert [row[0] for row in rows] == [*sorted(names), "total"]
     assert all(row[4] == "0" for row in rows)
     if grid.l_max == 0:
         assert rows[sorted(names).index("eq33")] == ["eq33", "0", "0", "0", "0"]
+    if "remark4" in names:
+        assert rows[0] == ["remark4", "1", "1", "0", "0"]
     if status:
         assert "  has-comma-reason at n=0: lhs= rhs= (ValueError: at n=0, in a fixture)" \
             in table[1].splitlines()

@@ -788,7 +788,8 @@ def test_a_thm3_sweep_holds_the_lift_vectors_of_one_n(memo_oracle):
     rows = {_level_row(n, l, level)
             for n in range(2, 7) for l in range(4) for level in range(1, 7)}
     with memo_scope:
-        verifier._sweep_identity(get_identity("thm3"), grid)
+        # the blocks are made as they are read
+        list(verifier._sweep_identity(get_identity("thm3"), grid))
         held = [row for table in exactnum._tables for value in table.values()
                 for row in _rows_in(value)]
         assert [n for n in vectors if any(c in held for c in vectors[n])] == [6]
