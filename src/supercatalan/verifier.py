@@ -12,11 +12,15 @@ process pool, and always joins results in the same deterministic order:
 two invocations with the same arguments serialize to byte-identical
 reports regardless of the worker count. sweep joins the batches of one
 private generator, _batches, which yields one n-block at a time: an
-identity's records at one n, or all of them if it takes no n. The CLI's
-one writer, _write_sweep, reads it too, for every format: it writes each
-n-block through the per-batch writers that to_jsonl and to_csv wrap, and
-the human table, at the end, through _human_text, the writer that
-to_human wraps, from a tally of the blocks. So it never holds the report.
+identity's records at one n, or all of them if it takes no n. _batches
+renders each block where it is made, in the serial loop or in the pool
+worker that swept its identity, through a module-level render that its
+caller picks: sweep's keeps the records, and the CLI's one writer,
+_write_sweep, picks one per format, a block's JSONL or CSV text (written
+by the per-batch writers that to_jsonl and to_csv wrap) with its fail
+count, or its tally for the human table, which is written at the end
+through _human_text, the writer that to_human wraps. So the writer never
+holds the report, and a pooled writer's parent formats no record.
 
 sweep resolves each name once, in the calling process, and hands a pool
 the IdentitySpec itself, pickled once, with its check and domain by
@@ -554,9 +558,10 @@ def _sweep_identity(spec: IdentitySpec, grid: GridBounds) -> Iterator[list[Check
                if row is not None]
 
 
-def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds) -> list[list[CheckResult]]:
-    # a pool's unit of work: the spec is unpickled here, inside the task, so
-    # a worker that cannot load it fails this task with its name, not the pool
+def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds, render: Callable) -> list:
+    # a pool's unit of work, one identity, returned as its rendered n-blocks:
+    # the spec is unpickled here, inside the task, so a worker that cannot
+    # load it fails this task with its name, not the pool
     import pickle
     name, data = task
     try:
@@ -564,7 +569,7 @@ def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds) -> list[list[Check
     except Exception as exc:
         raise ValueError(f"identity {name!r} cannot be loaded in a worker "
                          f"process: {exc}") from exc
-    return list(_sweep_identity(spec, grid))
+    return [render(block) for block in _sweep_identity(spec, grid)]
 
 
 class Report(NamedTuple):
@@ -580,10 +585,13 @@ class Report(NamedTuple):
     generated_at: str
 
 
-def _batches(names, grid: GridBounds, jobs: int) -> Iterator[tuple[str, list[CheckResult]]]:
+def _batches(names, grid: GridBounds, jobs: int,
+             render: Callable) -> Iterator[tuple[str, object]]:
     # sweep's evaluation, one n-block at a time: every argument check is
     # made before the first block, and the blocks come in sorted name order,
-    # each as made in the serial memo scope, or an identity's from the pool
+    # each as render(records) returns it. render runs where the block is
+    # made, in the serial memo scope or in the pool worker that sweeps its
+    # identity, so it is a module-level function that a worker can import
     if not isinstance(grid, GridBounds):
         raise TypeError(f"grid must be a GridBounds, got {grid!r}")
     for name, value in zip(GridBounds._fields, grid):
@@ -618,7 +626,7 @@ def _batches(names, grid: GridBounds, jobs: int) -> Iterator[tuple[str, list[Che
         with memo_scope:
             for spec in specs:
                 for block in _sweep_identity(spec, grid):
-                    yield spec.name, block
+                    yield spec.name, render(block)
     else:
         # the pool pulls in multiprocessing, socket and pickle: a serial
         # sweep and the CLI's cold start do not pay for them
@@ -626,9 +634,16 @@ def _batches(names, grid: GridBounds, jobs: int) -> Iterator[tuple[str, list[Che
         # a pool worker memoizes for its whole life; its tables go with it
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=memo_scope.__enter__) as pool:
-            for spec, blocks in zip(specs, pool.map(_sweep_pickled, tasks, repeat(grid))):
-                for block in blocks:
+            results = pool.map(_sweep_pickled, tasks, repeat(grid), repeat(render))
+            for spec in specs:
+                # no name holds an identity's blocks while the next is awaited
+                for block in next(results):
                     yield spec.name, block
+
+
+def _keep(rows: list[CheckResult]) -> list[CheckResult]:
+    # sweep's render: the block's records as they are
+    return rows
 
 
 def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
@@ -656,7 +671,7 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     if grid is None:
         grid = GridBounds()
     started = time.perf_counter()
-    batches = list(_batches(names, grid, jobs))
+    batches = list(_batches(names, grid, jobs, _keep))
     results = tuple(chain.from_iterable(rows for _, rows in batches))
     counts = Counter(r.status for r in results)
     runtime_seconds, generated_at = _stamp(started)
@@ -793,25 +808,52 @@ def _human_text(names, counts, bad, grid: GridBounds, stamp: tuple[float, str] |
     return "".join(line + "\n" for line in lines)
 
 
+def _jsonl_block(rows: list[CheckResult]) -> tuple[str, int]:
+    # _write_sweep's JSONL render: the block's text and its fail row count
+    return _jsonl_text(rows), sum(r.status == "fail" for r in rows)
+
+
+def _csv_block(rows: list[CheckResult]) -> tuple[str, int]:
+    # _write_sweep's CSV render: the block's text, without the header, and
+    # its fail row count
+    return _csv_text(rows, header=False), sum(r.status == "fail" for r in rows)
+
+
+def _tally(rows: list[CheckResult]) -> tuple[int, list[CheckResult]]:
+    # _write_sweep's human render: the block's record count and its fail
+    # rows, which give its status counts, as a sweep's record is "pass" or
+    # "fail". No per-record (identity, status) pair is made
+    return len(rows), [r for r in rows if r.status == "fail"]
+
+
 def _write_sweep(names, grid: GridBounds, jobs: int, fmt: str, write: Callable[[str], None],
                  show_timestamp: bool = True) -> int:
-    # the CLI's sweep, handed to write one text at a time: for fmt "json" or
-    # "csv" each n-block's records as they come, the CSV header with the
-    # first; for "human" to_human's table after the last, from a tally kept
-    # for that format only: the identities in order, each once, a Counter of
-    # (identity, status), and the fail rows, which JSONL and CSV only count.
-    # It holds one n-block, not the report, and returns the fail row count
+    # the CLI's sweep, handed to write one text at a time. Each n-block
+    # comes rendered for fmt by the process that made it, a pool worker or
+    # this one: for "json" or "csv" as its text, written as it comes, the
+    # CSV header before the first block, even an empty one; for "human" as
+    # its tally, summed into a Counter of (identity, status), whose keys
+    # keep the identities in order, each once, and the fail rows, from
+    # which to_human's table is written after the last block. It holds one
+    # n-block, not the report, and returns the fail row count
     started = time.perf_counter()
-    swept, counts, bad, failed = {}, Counter(), [], 0
-    for k, (name, rows) in enumerate(_batches(names, grid, jobs)):
-        if fmt == "human":
-            swept[name] = None
-            counts.update((name, r.status) for r in rows)
-            bad += [r for r in rows if r.status == "fail"]
-        else:
-            failed += sum(r.status == "fail" for r in rows)
-            write(_jsonl_text(rows) if fmt == "json" else _csv_text(rows, header=not k))
     if fmt == "human":
-        write(_human_text(swept, counts, bad, grid, _stamp(started) if show_timestamp else None))
+        counts, bad = Counter(), []
+        for name, (points, fails) in _batches(names, grid, jobs, _tally):
+            counts[name, "pass"] += points - len(fails)
+            counts[name, "fail"] += len(fails)
+            bad += fails
+        write(_human_text(dict.fromkeys(name for name, _ in counts), counts, bad, grid,
+                          _stamp(started) if show_timestamp else None))
         return len(bad)
+    failed, header = 0, fmt == "csv"
+    for _, (text, fails) in _batches(names, grid, jobs, _csv_block if header else _jsonl_block):
+        if header:
+            write(_csv_text((), header=True))
+            header = False
+        write(text)
+        failed += fails
+        # released here: a serial sweep renders the next block before the
+        # loop would rebind text
+        del text
     return failed

@@ -337,11 +337,21 @@ def _traced_main(path, argv, setup=""):
                   "--format", "csv"], 2,
                  lambda text: text.count("\n") == 5457 and text.count("identity,") == 1,
                  id="n-blocks"),
+    # the pool's parent: it peaked near 5.7 MiB on both when it unpickled
+    # the records and formatted them, and holds rendered blocks now
+    pytest.param(["sweep", "--all", "--n-max", "20", "--l-max", "10", "--jobs", "2"], 4.5,
+                 lambda text: text.count("\n") == 43245, id="pooled-jsonl"),
+    pytest.param(["verify", "--all", "--n-max", "20", "--l-max", "10", "--no-timestamp",
+                  "--jobs", "2"], 4.5,
+                 lambda text: ["total", "43245", "43245", "0", "0"]
+                 in map(str.split, text.splitlines()), id="pooled-human"),
 ])
 def test_a_streamed_sweep_holds_one_batch_and_the_tally_not_the_report(tmp_path, argv,
                                                                         bound_mb, holds):
+    # cpu_count is pinned to 2 so a --jobs 2 sweep pools on a one-CPU
+    # machine too; tracemalloc sees the parent only
     path = tmp_path / "wide.out"
-    status, peak = _traced_main(path, argv)
+    status, peak = _traced_main(path, argv, "import os\nos.cpu_count = lambda: 2\n")
     assert status == 0
     assert holds(path.read_text())
     assert peak <= bound_mb * 2**20, peak / 2**20
@@ -402,6 +412,44 @@ def test_a_pooled_sweep_whose_writer_fails_midway_exits_2_and_ends_its_pool(caps
     assert err == "error: cannot write standard output: No space left on device\n"
     assert out == ""
     assert multiprocessing.active_children() == []
+
+
+def test_cli_bytes_are_the_same_under_every_start_method(tmp_path):
+    # a fresh interpreter, so the start method can be set before any pool;
+    # cpu_count is pinned to 2 so the pool runs on a one-CPU machine too.
+    # Each format's render goes to the workers by reference. parity-nonzero
+    # fails at every point, so the human table's fail rows cross the pool
+    # too; it is registered after import, so a spawn or forkserver worker
+    # has it only from its pickled spec
+    code = (
+        "import multiprocessing, os, sys\n"
+        "from supercatalan import verifier\n"
+        "from supercatalan.cli import main\n"
+        "os.cpu_count = lambda: 2\n"
+        "verifier.register(verifier.IdentitySpec(\n"
+        "    'parity-nonzero', 'parity, asserted unequal', ('n', 'l'), verifier._any,\n"
+        "    verifier._check_parity, 'remainder-nonzero'))\n"
+        "path = os.path.join(sys.argv[1], 'out')\n"
+        "def run(fmt, jobs):\n"
+        "    status = main(['verify', '--all', '--n-max', '6', '--l-max', '3',\n"
+        "                   '--no-timestamp', '--format', fmt, '--jobs', jobs,\n"
+        "                   '--output', path])\n"
+        "    with open(path, 'rb') as fh:\n"
+        "        return status, fh.read()\n"
+        "formats = ('json', 'csv', 'human')\n"
+        "serial = {fmt: run(fmt, '1') for fmt in formats}\n"
+        "assert all(status == 1 for status, _ in serial.values())\n"
+        "for method in ('spawn', 'forkserver', 'fork'):\n"
+        "    if method in multiprocessing.get_all_start_methods():\n"
+        "        multiprocessing.set_start_method(method, force=True)\n"
+        "        print(method, *(run(fmt, '2') == serial[fmt] for fmt in formats))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.endswith(" True True True") for line in lines), lines
+    if sys.platform.startswith("linux"):
+        assert [line.split()[0] for line in lines] == ["spawn", "forkserver", "fork"]
 
 
 @pytest.mark.parametrize("argv, records", [
