@@ -11,16 +11,11 @@ usage errors, an --output file that cannot be written and a standard
 output that cannot be written (a closed pipe, a full device, a closed
 descriptor). All printed values are exact; rationals appear as p/q.
 
-verify and sweep write through one verifier writer, _write_sweep. Each
-n-block of the sweep is rendered where it is made, in this process or in
-the pool worker that swept its identity: a record stream (JSONL or CSV) is
-written one block's text at a time, and the human table when the sweep
-ends, from each block's record count and failed records. So no format
-holds the whole report, and with --jobs above 1 this process formats no
-record. --output PATH takes the text only whole: a sweep that stops on an
-error or an interrupt leaves PATH as it found it. An --output PATH that
-cannot be written, the empty PATH included, or a closed standard output,
-fails before the sweep.
+verify and sweep stream their output, as the verifier docstring tells.
+--output PATH takes the text only whole: a sweep that stops on an error
+or an interrupt leaves PATH as it found it. An --output PATH that cannot
+be written, the empty PATH included, or a closed standard output, fails
+before the sweep.
 """
 
 from __future__ import annotations
@@ -218,15 +213,7 @@ class _OutputFile:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Both verify and sweep: check the arguments, then write the output.
-
-    The sweep and its output are verifier._write_sweep's: it writes each
-    n-block's text, rendered where the block was made (in a pool worker
-    when --jobs is above 1), or the human table from the blocks' tallies
-    at the end, so no format holds the whole report, and it returns the
-    number of fail rows, from which the exit status comes. This function
-    chooses only where the text goes: standard output, or --output PATH.
-    """
+    """Both verify and sweep: verifier._write_sweep writes to stdout or --output."""
     bounds = {name: getattr(args, name) for name in _BOUNDS
               if getattr(args, name) is not None}
     if args.command == "sweep" and not bounds:

@@ -10,17 +10,18 @@ over a bounded grid, exhaustively on the intersection of each identity's
 domain with the grid, one identity per unit of work, serially or over a
 process pool, and always joins results in the same deterministic order:
 two invocations with the same arguments serialize to byte-identical
-reports regardless of the worker count. sweep joins the batches of one
-private generator, _batches, which yields one n-block at a time: an
-identity's records at one n, or all of them if it takes no n. _batches
-renders each block where it is made, in the serial loop or in the pool
-worker that swept its identity, through a module-level render that its
-caller picks: sweep's keeps the records, and the CLI's one writer,
-_write_sweep, picks one per format, a block's JSONL or CSV text (written
-by the per-batch writers that to_jsonl and to_csv wrap) with its fail
-count, or its tally for the human table, which is written at the end
-through _human_text, the writer that to_human wraps. So the writer never
-holds the report, and a pooled writer's parent formats no record.
+reports regardless of the worker count.
+
+The streamed sweep. _batches checks every argument when it is called and
+returns a generator that yields the sweep one n-block at a time, in sorted
+name order: an identity's records at one n, or all of them if it takes no
+n. Each block is rendered where it is made, in the serial loop or in the
+pool worker that swept its identity, by a render that the caller picks.
+sweep's keeps the records. _write_sweep, the CLI's one writer, renders
+every format through _render: a block's JSONL or CSV text, written as it
+comes, or its fail rows, kept with the per-identity counts for the human
+table, which is written after the last block. So the writer holds one
+n-block, not the report, and a pooled writer's parent formats no record.
 
 sweep resolves each name once, in the calling process, and hands a pool
 the IdentitySpec itself, pickled once, with its check and domain by
@@ -58,6 +59,7 @@ import os
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple
@@ -559,9 +561,8 @@ def _sweep_identity(spec: IdentitySpec, grid: GridBounds) -> Iterator[list[Check
 
 
 def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds, render: Callable) -> list:
-    # a pool's unit of work, one identity, returned as its rendered n-blocks:
-    # the spec is unpickled here, inside the task, so a worker that cannot
-    # load it fails this task with its name, not the pool
+    # the spec is unpickled inside the task, so a worker that cannot load it
+    # fails this task, with its name, not the pool
     import pickle
     name, data = task
     try:
@@ -587,11 +588,9 @@ class Report(NamedTuple):
 
 def _batches(names, grid: GridBounds, jobs: int,
              render: Callable) -> Iterator[tuple[str, object]]:
-    # sweep's evaluation, one n-block at a time: every argument check is
-    # made before the first block, and the blocks come in sorted name order,
-    # each as render(records) returns it. render runs where the block is
-    # made, in the serial memo scope or in the pool worker that sweeps its
-    # identity, so it is a module-level function that a worker can import
+    # every check runs here, when _batches is called, so that its caller may
+    # write before the first block. render runs in a pool worker too, so it
+    # is a module-level function that a worker can import
     if not isinstance(grid, GridBounds):
         raise TypeError(f"grid must be a GridBounds, got {grid!r}")
     for name, value in zip(GridBounds._fields, grid):
@@ -610,9 +609,8 @@ def _batches(names, grid: GridBounds, jobs: int,
     resolved = {name: get_identity(name) for name in names}
     specs = [resolved[name] for name in sorted(resolved)]
     if jobs > 1:
-        # a worker gets each spec by pickle, its functions by reference;
-        # checked for jobs > 1, not per pool, so the CPU count cannot decide
-        # whether a sweep raises
+        # checked for every jobs > 1, not only when a pool starts, so the CPU
+        # count cannot decide whether a sweep raises
         import pickle
         tasks = []
         for spec in specs:
@@ -622,23 +620,26 @@ def _batches(names, grid: GridBounds, jobs: int,
                 raise ValueError(f"identity {spec.name!r} cannot be sent to a "
                                  f"worker process: {exc}") from exc
     workers = min(jobs, len(specs), os.cpu_count() or 1)
-    if workers <= 1:
-        with memo_scope:
-            for spec in specs:
-                for block in _sweep_identity(spec, grid):
-                    yield spec.name, render(block)
-    else:
-        # the pool pulls in multiprocessing, socket and pickle: a serial
-        # sweep and the CLI's cold start do not pay for them
-        from concurrent.futures import ProcessPoolExecutor
-        # a pool worker memoizes for its whole life; its tables go with it
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=memo_scope.__enter__) as pool:
-            results = pool.map(_sweep_pickled, tasks, repeat(grid), repeat(render))
-            for spec in specs:
-                # no name holds an identity's blocks while the next is awaited
-                for block in next(results):
-                    yield spec.name, block
+
+    def blocks():
+        if workers <= 1:
+            with memo_scope:
+                for spec in specs:
+                    for block in _sweep_identity(spec, grid):
+                        yield spec.name, render(block)
+        else:
+            # the pool pulls in multiprocessing, socket and pickle: a serial
+            # sweep and the CLI's cold start do not pay for them
+            from concurrent.futures import ProcessPoolExecutor
+            # a pool worker memoizes for its whole life; its tables go with it
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=memo_scope.__enter__) as pool:
+                results = pool.map(_sweep_pickled, tasks, repeat(grid), repeat(render))
+                for spec in specs:
+                    # no name holds an identity's blocks while the next is awaited
+                    for block in next(results):
+                        yield spec.name, block
+    return blocks()
 
 
 def _keep(rows: list[CheckResult]) -> list[CheckResult]:
@@ -808,52 +809,36 @@ def _human_text(names, counts, bad, grid: GridBounds, stamp: tuple[float, str] |
     return "".join(line + "\n" for line in lines)
 
 
-def _jsonl_block(rows: list[CheckResult]) -> tuple[str, int]:
-    # _write_sweep's JSONL render: the block's text and its fail row count
-    return _jsonl_text(rows), sum(r.status == "fail" for r in rows)
-
-
-def _csv_block(rows: list[CheckResult]) -> tuple[str, int]:
-    # _write_sweep's CSV render: the block's text, without the header, and
-    # its fail row count
-    return _csv_text(rows, header=False), sum(r.status == "fail" for r in rows)
-
-
-def _tally(rows: list[CheckResult]) -> tuple[int, list[CheckResult]]:
-    # _write_sweep's human render: the block's record count and its fail
-    # rows, which give its status counts, as a sweep's record is "pass" or
-    # "fail". No per-record (identity, status) pair is made
-    return len(rows), [r for r in rows if r.status == "fail"]
+def _render(fmt: str, rows: list[CheckResult]) -> tuple[str | list[CheckResult], int, int]:
+    # _write_sweep's render of one n-block: (text, record count, fail count),
+    # where the text is the block's JSONL, its CSV without the header, or,
+    # for "human", its fail rows
+    bad = [r for r in rows if r.status == "fail"]
+    text = (bad if fmt == "human" else _csv_text(rows, header=False) if fmt == "csv"
+            else _jsonl_text(rows))
+    return text, len(rows), len(bad)
 
 
 def _write_sweep(names, grid: GridBounds, jobs: int, fmt: str, write: Callable[[str], None],
                  show_timestamp: bool = True) -> int:
-    # the CLI's sweep, handed to write one text at a time. Each n-block
-    # comes rendered for fmt by the process that made it, a pool worker or
-    # this one: for "json" or "csv" as its text, written as it comes, the
-    # CSV header before the first block, even an empty one; for "human" as
-    # its tally, summed into a Counter of (identity, status), whose keys
-    # keep the identities in order, each once, and the fail rows, from
-    # which to_human's table is written after the last block. It holds one
-    # n-block, not the report, and returns the fail row count
+    # the CLI's sweep in fmt, handed to write one text at a time; it returns
+    # the fail row count
     started = time.perf_counter()
-    if fmt == "human":
-        counts, bad = Counter(), []
-        for name, (points, fails) in _batches(names, grid, jobs, _tally):
-            counts[name, "pass"] += points - len(fails)
-            counts[name, "fail"] += len(fails)
-            bad += fails
-        write(_human_text(dict.fromkeys(name for name, _ in counts), counts, bad, grid,
-                          _stamp(started) if show_timestamp else None))
-        return len(bad)
-    failed, header = 0, fmt == "csv"
-    for _, (text, fails) in _batches(names, grid, jobs, _csv_block if header else _jsonl_block):
-        if header:
-            write(_csv_text((), header=True))
-            header = False
-        write(text)
-        failed += fails
+    batches = _batches(names, grid, jobs, partial(_render, fmt))
+    if fmt == "csv":
+        write(_csv_text((), header=True))
+    # a Counter of (identity, status), whose keys keep the identities in
+    # order; a sweep's record is "pass" or "fail", so the fails give both
+    counts, bad = Counter(), []
+    out = bad.extend if fmt == "human" else write
+    for name, (text, points, fails) in batches:
+        counts[name, "pass"] += points - fails
+        counts[name, "fail"] += fails
+        out(text)
         # released here: a serial sweep renders the next block before the
         # loop would rebind text
         del text
-    return failed
+    if fmt == "human":
+        write(_human_text(dict.fromkeys(name for name, _ in counts), counts, bad, grid,
+                          _stamp(started) if show_timestamp else None))
+    return sum(n for (_, status), n in counts.items() if status == "fail")

@@ -68,6 +68,9 @@ def test_compute_prints_values_past_the_int_digit_limit(capsys, full_str, argv, 
     (("verify", "--all", "--n-max", "-1"), "must be non-negative"),
     (("verify", "--all", "--n-max", "2", "--jobs", "0"), "at least 1"),
     (("sweep", "--all"), "at least one explicit grid bound"),
+    # the checks come before the CSV header
+    (("sweep", "--format", "csv", "--id", "thm99", "--n-max", "2"), "unknown identity"),
+    (("sweep", "--format", "csv", "--all", "--n-max", "2", "--jobs", "0"), "at least 1"),
     (("compute", "q", "--n", "4", "--s", "5", "--l", "1"), "0 <= s <= n"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -349,9 +352,12 @@ def _traced_main(path, argv, setup=""):
 def test_a_streamed_sweep_holds_one_batch_and_the_tally_not_the_report(tmp_path, argv,
                                                                         bound_mb, holds):
     # cpu_count is pinned to 2 so a --jobs 2 sweep pools on a one-CPU
-    # machine too; tracemalloc sees the parent only
+    # machine too. A forked worker would inherit tracemalloc and run traced,
+    # which slows it and adds nothing to the parent's peak, so it stops
+    # tracing as it starts
     path = tmp_path / "wide.out"
-    status, peak = _traced_main(path, argv, "import os\nos.cpu_count = lambda: 2\n")
+    status, peak = _traced_main(path, argv, "import os\nos.cpu_count = lambda: 2\n"
+                                "os.register_at_fork(after_in_child=tracemalloc.stop)\n")
     assert status == 0
     assert holds(path.read_text())
     assert peak <= bound_mb * 2**20, peak / 2**20
