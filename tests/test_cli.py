@@ -68,10 +68,10 @@ def test_compute_prints_values_past_the_int_digit_limit(capsys, full_str, argv, 
     (("verify", "--all", "--n-max", "-1"), "must be non-negative"),
     (("verify", "--all", "--n-max", "2", "--jobs", "0"), "at least 1"),
     (("sweep", "--all"), "at least one explicit grid bound"),
+    (("compute", "q", "--n", "4", "--s", "5", "--l", "1"), "0 <= s <= n"),
     # the checks come before the CSV header
     (("sweep", "--format", "csv", "--id", "thm99", "--n-max", "2"), "unknown identity"),
     (("sweep", "--format", "csv", "--all", "--n-max", "2", "--jobs", "0"), "at least 1"),
-    (("compute", "q", "--n", "4", "--s", "5", "--l", "1"), "0 <= s <= n"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
