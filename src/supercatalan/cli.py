@@ -229,11 +229,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write("")  # a closed standard output fails here, before the sweep
         try:
             # the sweep validates the selection, jobs and bounds
-            failed = verifier._write_sweep(ids, verifier.GridBounds(**bounds), args.jobs,
+            counts = verifier._write_sweep(ids, verifier.GridBounds(**bounds), args.jobs,
                                            args.format, write, not args.no_timestamp)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-    return 1 if failed else 0
+    return 1 if any(fails for _, fails, _ in counts.values()) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,16 +12,18 @@ process pool, and always joins results in the same deterministic order:
 two invocations with the same arguments serialize to byte-identical
 reports regardless of the worker count.
 
-The streamed sweep. _batches checks every argument when it is called and
-returns a generator that yields the sweep one n-block at a time, in sorted
-name order: an identity's records at one n, or all of them if it takes no
-n. Each block is rendered where it is made, in the serial loop or in the
-pool worker that swept its identity, by a render that the caller picks.
-sweep's keeps the records. _write_sweep, the CLI's one writer, renders
-every format through _render: a block's JSONL or CSV text, written as it
-comes, or its fail rows, kept with the per-identity counts for the human
-table, which is written after the last block. So the writer holds one
-n-block, not the report, and a pooled writer's parent formats no record.
+The streamed sweep. Every sweep, sweep()'s and the CLI's, runs one loop:
+_write_sweep over _batches. _batches checks every argument when it is
+called and returns a generator that yields the sweep one n-block at a time,
+in sorted name order: an identity's records at one n, or all of them if it
+takes no n. _render(fmt, rows) renders each block where it is made, in the
+serial loop or in the pool worker that swept its identity: for sweep()
+(fmt None) the block's records, which go into the Report; for the CLI its
+JSONL or CSV text, written as it comes, or its fail rows, kept for the
+human table, which is written after the last block. The loop keeps one
+[pass, fail, skip] count per identity, which sweep()'s Report, the CLI's
+exit status and the table all read. So a CLI writer holds one n-block, not
+the report, and a pooled writer's parent formats no record.
 
 sweep resolves each name once, in the calling process, and hands a pool
 the IdentitySpec itself, pickled once, with its check and domain by
@@ -59,7 +61,6 @@ import os
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from itertools import chain, product, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, NamedTuple
@@ -109,6 +110,8 @@ _FLOORS = (0, 0, 0, 1)  # the lowest value of each coordinate in any grid
 _JSONL_LINE = "{" + ",".join(f"{encode_basestring_ascii(c)}:%s" for c in _COLUMNS) + "}\n"
 # one CSV record: a %s cell per column; see to_csv for when it is csv.writer's
 _CSV_LINE = ",".join(["%s"] * len(_COLUMNS)) + "\n"
+# the CSV header, which csv.writer writes as it is: no column name needs quotes
+_CSV_HEADER = ",".join(_COLUMNS) + "\n"
 
 
 class GridBounds(NamedTuple):
@@ -560,7 +563,7 @@ def _sweep_identity(spec: IdentitySpec, grid: GridBounds) -> Iterator[list[Check
                if row is not None]
 
 
-def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds, render: Callable) -> list:
+def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds, fmt: str | None) -> list:
     # the spec is unpickled inside the task, so a worker that cannot load it
     # fails this task, with its name, not the pool
     import pickle
@@ -570,7 +573,7 @@ def _sweep_pickled(task: tuple[str, bytes], grid: GridBounds, render: Callable) 
     except Exception as exc:
         raise ValueError(f"identity {name!r} cannot be loaded in a worker "
                          f"process: {exc}") from exc
-    return [render(block) for block in _sweep_identity(spec, grid)]
+    return [_render(fmt, block) for block in _sweep_identity(spec, grid)]
 
 
 class Report(NamedTuple):
@@ -587,10 +590,10 @@ class Report(NamedTuple):
 
 
 def _batches(names, grid: GridBounds, jobs: int,
-             render: Callable) -> Iterator[tuple[str, object]]:
+             fmt: str | None) -> Iterator[tuple[str, tuple]]:
     # every check runs here, when _batches is called, so that its caller may
-    # write before the first block. render runs in a pool worker too, so it
-    # is a module-level function that a worker can import
+    # write before the first block; each block comes as (name, _render(fmt,
+    # block))
     if not isinstance(grid, GridBounds):
         raise TypeError(f"grid must be a GridBounds, got {grid!r}")
     for name, value in zip(GridBounds._fields, grid):
@@ -626,7 +629,7 @@ def _batches(names, grid: GridBounds, jobs: int,
             with memo_scope:
                 for spec in specs:
                     for block in _sweep_identity(spec, grid):
-                        yield spec.name, render(block)
+                        yield spec.name, _render(fmt, block)
         else:
             # the pool pulls in multiprocessing, socket and pickle: a serial
             # sweep and the CLI's cold start do not pay for them
@@ -634,17 +637,12 @@ def _batches(names, grid: GridBounds, jobs: int,
             # a pool worker memoizes for its whole life; its tables go with it
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=memo_scope.__enter__) as pool:
-                results = pool.map(_sweep_pickled, tasks, repeat(grid), repeat(render))
+                results = pool.map(_sweep_pickled, tasks, repeat(grid), repeat(fmt))
                 for spec in specs:
                     # no name holds an identity's blocks while the next is awaited
                     for block in next(results):
                         yield spec.name, block
     return blocks()
-
-
-def _keep(rows: list[CheckResult]) -> list[CheckResult]:
-    # sweep's render: the block's records as they are
-    return rows
 
 
 def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
@@ -672,17 +670,17 @@ def sweep(names, grid: GridBounds | None = None, jobs: int = 1) -> Report:
     if grid is None:
         grid = GridBounds()
     started = time.perf_counter()
-    batches = list(_batches(names, grid, jobs, _keep))
-    results = tuple(chain.from_iterable(rows for _, rows in batches))
-    counts = Counter(r.status for r in results)
+    results = []
+    counts = _write_sweep(names, grid, jobs, None, results.extend)
+    passed, failed, skipped = map(sum, zip((0, 0, 0), *counts.values()))
     runtime_seconds, generated_at = _stamp(started)
     return Report(
-        results=results,
-        identities=tuple(dict.fromkeys(name for name, _ in batches)),
+        results=tuple(results),
+        identities=tuple(counts),
         grid=grid,
-        passed=counts["pass"],
-        failed=counts["fail"],
-        skipped=counts["skipped"],
+        passed=passed,
+        failed=failed,
+        skipped=skipped,
         runtime_seconds=runtime_seconds,
         generated_at=generated_at,
     )
@@ -742,29 +740,26 @@ def to_csv(report: Report) -> str:
     in C. Any other report is written by the csv module itself, and so
     behaves as csv.writer does on the running Python.
     """
-    return _csv_text(report.results, header=True)
+    return _CSV_HEADER + _csv_text(report.results)
 
 
-def _csv_text(rows, header: bool) -> str:
-    # to_csv's lines for any run of records, such as one n-block,
-    # after the header line or without it. csv.writer writes each row on its
-    # own, so the texts of consecutive runs join to the text of the whole,
-    # and the template check is exact for each text by itself
+def _csv_text(rows) -> str:
+    # to_csv's lines after the header for any run of records, such as one
+    # n-block. csv.writer writes each row on its own, so the texts of
+    # consecutive runs join to the text of the whole, and the template check
+    # is exact for each text by itself
     cells = chain.from_iterable(
         (identity, "" if n is None else n, "" if l is None else l,
          "" if t is None else t, "" if m is None else m, lhs, rhs, status, reason)
         for identity, n, l, t, m, lhs, rhs, status, reason in rows)
-    lines = len(rows) + header
+    lines = len(rows)
     # one format over all the cells: a join would hold a string a row
-    text = (_CSV_LINE * lines) % tuple(chain(_COLUMNS if header else (), cells))
+    text = (_CSV_LINE * lines) % tuple(cells)
     if (text.count(",") == (len(_COLUMNS) - 1) * lines and text.count("\n") == lines
             and '"' not in text and "\r" not in text and "\0" not in text):
         return text
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if header:
-        writer.writerow(_COLUMNS)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -775,23 +770,24 @@ def to_human(report: Report, show_timestamp: bool = True) -> str:
     are dropped when show_timestamp is false.
     """
     stamp = (report.runtime_seconds, report.generated_at) if show_timestamp else None
-    return _human_text(report.identities,
-                       Counter((r.identity, r.status) for r in report.results),
-                       [r for r in report.results if r.status == "fail"], report.grid, stamp)
+    # counted by status, not taken from the sweep's count: a report built by
+    # hand may hold skipped rows, or rows of identities it does not list
+    tally = Counter((r.identity, r.status) for r in report.results)
+    counts = [(name, [tally[name, s] for s in ("pass", "fail", "skipped")])
+              for name in report.identities]
+    return _human_text(counts, [r for r in report.results if r.status == "fail"],
+                       report.grid, stamp)
 
 
-def _human_text(names, counts, bad, grid: GridBounds, stamp: tuple[float, str] | None) -> str:
-    # to_human's table from a tally that can be kept batch by batch: the
-    # identities in order, a Counter of (identity, status), the fail rows in
+def _human_text(counts, bad, grid: GridBounds, stamp: tuple[float, str] | None) -> str:
+    # to_human's table from a tally that can be kept batch by batch: each
+    # identity's (name, [pass, fail, skip]) in order, the fail rows in
     # order, and (runtime, generated at), or None to omit both
-    per = [[counts[name, s] for s in ("pass", "fail", "skipped")]
-           for name in names]
-    total = list(map(sum, zip((0, 0, 0), *per)))
-    width = max([len("identity")] + [len(name) for name in names])
+    total = list(map(sum, zip((0, 0, 0), *(c for _, c in counts))))
+    width = max([len("identity")] + [len(name) for name, _ in counts])
     line = ("{:<%d}" % width + "  {:>7}" * 4).format
     lines = [line("identity", "points", "pass", "fail", "skip")]
-    lines += [line(name, sum(c), *c)
-              for name, c in zip((*names, "total"), (*per, total))]
+    lines += [line(name, sum(c), *c) for name, c in (*counts, ("total", total))]
     if bad:
         lines.append("")
         lines.append("failures:")
@@ -809,36 +805,37 @@ def _human_text(names, counts, bad, grid: GridBounds, stamp: tuple[float, str] |
     return "".join(line + "\n" for line in lines)
 
 
-def _render(fmt: str, rows: list[CheckResult]) -> tuple[str | list[CheckResult], int, int]:
-    # _write_sweep's render of one n-block: (text, record count, fail count),
-    # where the text is the block's JSONL, its CSV without the header, or,
-    # for "human", its fail rows
+def _render(fmt: str | None, rows: list[CheckResult]) -> tuple[str | list[CheckResult], int, int]:
+    # one n-block as (text, record count, fail count), where the text is,
+    # for fmt None, the block's records, for "human" its fail rows, and
+    # otherwise its JSONL or its CSV lines after the header
     bad = [r for r in rows if r.status == "fail"]
-    text = (bad if fmt == "human" else _csv_text(rows, header=False) if fmt == "csv"
-            else _jsonl_text(rows))
+    text = (rows if fmt is None else bad if fmt == "human"
+            else _csv_text(rows) if fmt == "csv" else _jsonl_text(rows))
     return text, len(rows), len(bad)
 
 
-def _write_sweep(names, grid: GridBounds, jobs: int, fmt: str, write: Callable[[str], None],
-                 show_timestamp: bool = True) -> int:
-    # the CLI's sweep in fmt, handed to write one text at a time; it returns
-    # the fail row count
+def _write_sweep(names, grid: GridBounds, jobs: int, fmt: str | None, write: Callable,
+                 show_timestamp: bool = True) -> dict[str, list[int]]:
+    # the one sweep loop: each block's _render(fmt, ...) text goes to write
+    # as it comes, and for "human" the table goes after the last block. It
+    # returns each identity's [pass, fail, skip] count, in name order; a
+    # sweep's record is "pass" or "fail", so skip stays 0
     started = time.perf_counter()
-    batches = _batches(names, grid, jobs, partial(_render, fmt))
+    batches = _batches(names, grid, jobs, fmt)
     if fmt == "csv":
-        write(_csv_text((), header=True))
-    # a Counter of (identity, status), whose keys keep the identities in
-    # order; a sweep's record is "pass" or "fail", so the fails give both
-    counts, bad = Counter(), []
+        write(_CSV_HEADER)
+    counts, bad = {}, []
     out = bad.extend if fmt == "human" else write
     for name, (text, points, fails) in batches:
-        counts[name, "pass"] += points - fails
-        counts[name, "fail"] += fails
+        count = counts.setdefault(name, [0, 0, 0])
+        count[0] += points - fails
+        count[1] += fails
         out(text)
         # released here: a serial sweep renders the next block before the
         # loop would rebind text
         del text
     if fmt == "human":
-        write(_human_text(dict.fromkeys(name for name, _ in counts), counts, bad, grid,
+        write(_human_text(counts.items(), bad, grid,
                           _stamp(started) if show_timestamp else None))
-    return sum(n for (_, status), n in counts.items() if status == "fail")
+    return counts

@@ -1,6 +1,7 @@
 """Command line behavior: computed values, sweeps, exit codes, output routing."""
 
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
@@ -327,30 +328,39 @@ def _traced_main(path, argv, setup=""):
     return tuple(map(int, proc.stdout.split()))
 
 
-@pytest.mark.parametrize("argv, bound_mb, holds", [
+# sha256 of the n <= 20, l <= 10 sweep's JSONL and of its --no-timestamp
+# table, the bytes the benchmark's sweep_wide pins and the table of that grid
+WIDE_JSONL_SHA256 = "13d279f6051a7155c1ccb1ce371fb4571b44dbb0a3b3dd8ff26e7f4303b89dbc"
+WIDE_TABLE_SHA256 = "a5a3bc72bf3a03004827cba14140b77e4b70b391e64da1bb838d99f15e59b3e6"
+
+
+@pytest.mark.parametrize("argv, bound_mb, holds, sha256", [
     # 43,245 records; the whole report and its JSONL text peaked near 23 MB
     pytest.param(["sweep", "--all", "--n-max", "20", "--l-max", "10"], 12,
-                 lambda text: text.count("\n") == 43245, id="jsonl"),
+                 lambda text: text.count("\n") == 43245, WIDE_JSONL_SHA256, id="jsonl"),
     # the table written from the whole report peaked near 14 MB
     pytest.param(["verify", "--all", "--n-max", "20", "--l-max", "10", "--no-timestamp"], 8,
                  lambda text: ["total", "43245", "43245", "0", "0"]
-                 in map(str.split, text.splitlines()), id="human"),
+                 in map(str.split, text.splitlines()), WIDE_TABLE_SHA256, id="human"),
     # 5,456 records of one identity; written as one batch it peaked near 3.6 MiB
     pytest.param(["sweep", "--id", "dlevel1", "--n-max", "30", "--l-max", "10",
                   "--format", "csv"], 2,
                  lambda text: text.count("\n") == 5457 and text.count("identity,") == 1,
-                 id="n-blocks"),
+                 None, id="n-blocks"),
     # the pool's parent: it peaked near 5.7 MiB on both when it unpickled
     # the records and formatted them, and holds rendered blocks now
     pytest.param(["sweep", "--all", "--n-max", "20", "--l-max", "10", "--jobs", "2"], 4.5,
-                 lambda text: text.count("\n") == 43245, id="pooled-jsonl"),
+                 lambda text: text.count("\n") == 43245, WIDE_JSONL_SHA256,
+                 id="pooled-jsonl"),
     pytest.param(["verify", "--all", "--n-max", "20", "--l-max", "10", "--no-timestamp",
                   "--jobs", "2"], 4.5,
                  lambda text: ["total", "43245", "43245", "0", "0"]
-                 in map(str.split, text.splitlines()), id="pooled-human"),
+                 in map(str.split, text.splitlines()), WIDE_TABLE_SHA256,
+                 id="pooled-human"),
 ])
 def test_a_streamed_sweep_holds_one_batch_and_the_tally_not_the_report(tmp_path, argv,
-                                                                        bound_mb, holds):
+                                                                        bound_mb, holds,
+                                                                        sha256):
     # cpu_count is pinned to 2 so a --jobs 2 sweep pools on a one-CPU
     # machine too. A forked worker would inherit tracemalloc and run traced,
     # which slows it and adds nothing to the parent's peak, so it stops
@@ -360,6 +370,8 @@ def test_a_streamed_sweep_holds_one_batch_and_the_tally_not_the_report(tmp_path,
                                 "os.register_at_fork(after_in_child=tracemalloc.stop)\n")
     assert status == 0
     assert holds(path.read_text())
+    if sha256 is not None:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
     assert peak <= bound_mb * 2**20, peak / 2**20
 
 
@@ -423,7 +435,7 @@ def test_a_pooled_sweep_whose_writer_fails_midway_exits_2_and_ends_its_pool(caps
 def test_cli_bytes_are_the_same_under_every_start_method(tmp_path):
     # a fresh interpreter, so the start method can be set before any pool;
     # cpu_count is pinned to 2 so the pool runs on a one-CPU machine too.
-    # Each format's render goes to the workers by reference. parity-nonzero
+    # Each worker renders its blocks in the format it is sent. parity-nonzero
     # fails at every point, so the human table's fail rows cross the pool
     # too; it is registered after import, so a spawn or forkserver worker
     # has it only from its pickled spec
@@ -542,6 +554,12 @@ WITNESS_BOUNDS = ("--n-max", "40", "--l-max", "20", "--m-max", "8")
 @pytest.fixture(scope="module")
 def witness_report():
     return verifier.sweep(WITNESS_IDS, verifier.GridBounds(n_max=40, l_max=20, m_max=8))
+
+
+def test_witness_csv_bytes_are_pinned(witness_report):
+    # the bytes the benchmark's witness_deep pins
+    assert hashlib.sha256(verifier.to_csv(witness_report).encode()).hexdigest() == \
+        "7081b9c340ebdb050bda5f7261c777e90c0885a347f65d0c563841238d2a98b8"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

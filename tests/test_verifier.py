@@ -65,6 +65,8 @@ DEFAULT_GRID_COUNTS = {
 # column shows here
 DEFAULT_GRID_JSONL_SHA256 = "567ef750ad8317ab9299ac3a3928f75085c83e10f987d68b1581b7d18012c431"
 DEFAULT_GRID_CSV_SHA256 = "b1136fd84a340d5668f44437867e320d329e8871f25257deeacef23354db68b3"
+# and of its --no-timestamp table, the bytes the benchmark's verify_default pins
+DEFAULT_GRID_TABLE_SHA256 = "191e1ad916b06173301aa938467b0460fc8cc587a6d65225861d41d7a17a680b"
 
 GOLDEN_THM1_JSONL = (
     '{"identity":"thm1","n":0,"l":0,"t":null,"m":null,'
@@ -349,8 +351,9 @@ def test_a_worker_names_a_spec_it_cannot_load():
 def test_cold_start_does_not_load_the_process_pool():
     code = ("import sys\n"
             "import supercatalan, supercatalan.cli\n"
-            "print(sorted(m for m in ('concurrent.futures', 'dataclasses',\n"
-            "                         'multiprocessing') if m in sys.modules))")
+            "print(sorted(m for m in ('concurrent.futures', 'dataclasses', 'inspect',\n"
+            "                         'multiprocessing', 'pickle', 'socket')\n"
+            "             if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -412,6 +415,25 @@ def test_default_grid_record_bytes_are_pinned(default_report):
     csv_bytes = to_csv(default_report).encode()
     assert hashlib.sha256(jsonl).hexdigest() == DEFAULT_GRID_JSONL_SHA256
     assert hashlib.sha256(csv_bytes).hexdigest() == DEFAULT_GRID_CSV_SHA256
+    table = to_human(default_report, show_timestamp=False).encode()
+    assert hashlib.sha256(table).hexdigest() == DEFAULT_GRID_TABLE_SHA256
+
+
+def test_to_human_counts_a_hand_built_report_by_status():
+    # a sweep makes no skipped row and lists every identity it ran; a report
+    # built by hand may do neither, and its table counts what its rows hold
+    rows = (CheckResult("a", 0, None, None, None, "1", "1", "pass"),
+            CheckResult("a", 1, None, None, None, "", "", "skipped", "outside"),
+            CheckResult("b", 2, None, None, None, "3", "4", "fail"))
+    report = verifier.Report(rows, ("a",), GridBounds(), 1, 1, 1, 0.0, "")
+    assert to_human(report, show_timestamp=False) == (
+        "identity   points     pass     fail     skip\n"
+        "a               2        1        0        1\n"
+        "total           2        1        0        1\n"
+        "\n"
+        "failures:\n"
+        "  b at n=2: lhs=3 rhs=4\n"
+        "grid: n<=10, l<=6, t<=n, m<=5\n")
 
 
 # every kind of text json.dumps escapes, plus the edge cases by name
