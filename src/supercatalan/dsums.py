@@ -23,8 +23,8 @@ direct sum. At level 0 only j = 0 is needed, D(2n, 0, 0) = S(n, l)
 q_scaled(n, 0, l), which eq104 reads. Propagating the weights upward
 through the level recurrence gives a constructive quotient
 psi(2n, m, l) / S(n, l) that never performs the division; that is what
-psi_quotient_witness returns and what psi_divisibility_check is validated
-against.
+psi_quotient_witness returns and what the registry's thm3 plays against
+psi.
 
 d_sum_direct and the witness read rows: _pascal(N) holds binomial(N, k)
 for k = 0..N. A direct sum is one dot product, the weight row
@@ -125,10 +125,10 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .exactnum import IntegrityError, binomial, central_binomial, decimal_text, memoized
-from .sums import _check_power, _check_window, psi
+from .sums import _check_power, _check_window
 from .supercat import _require_offset, _require_pair, super_catalan
 
 __all__ = [
@@ -143,9 +143,6 @@ __all__ = [
     "q_scaled",
     "d_psi_level1",
     "psi_quotient_witness",
-    "DivisionCheck",
-    "division_check",
-    "psi_divisibility_check",
 ]
 
 # A summand maps (n, k, l) to an integer and must be pure: the engine may
@@ -398,30 +395,3 @@ def psi_quotient_witness(n: int, m: int, l: int) -> int:
         return super_catalan(n + l, n)
     return sum(map(mul, _lift(n, m - 2), _level1_weights(n, l)))
 
-
-class DivisionCheck(NamedTuple):
-    """Outcome of an integer divisibility test; failure is data, not an error."""
-
-    dividend: int
-    divisor: int
-    quotient: int
-    remainder: int
-
-    @property
-    def exact(self) -> bool:
-        return self.remainder == 0
-
-
-def division_check(dividend: int, divisor: int) -> DivisionCheck:
-    q, r = divmod(dividend, divisor)
-    return DivisionCheck(dividend, divisor, q, r)
-
-
-def psi_divisibility_check(n: int, m: int, l: int) -> DivisionCheck:
-    """Does S(n, l) divide psi(2n, m, l)? Returns quotient or remainder.
-
-    A non-exact outcome is a first-class result rather than an exception;
-    the same mechanism serves checks against other divisors, where failure
-    is sometimes the expected answer.
-    """
-    return division_check(psi(2 * n, m, l), super_catalan(n, l))

@@ -771,10 +771,11 @@ def to_human(report: Report, show_timestamp: bool = True) -> str:
     """
     stamp = (report.runtime_seconds, report.generated_at) if show_timestamp else None
     # counted by status, not taken from the sweep's count: a report built by
-    # hand may hold skipped rows, or rows of identities it does not list
+    # hand may hold skipped rows, rows of identities it does not list, or
+    # list a name twice, which gets one row, as in a sweep
     tally = Counter((r.identity, r.status) for r in report.results)
     counts = [(name, [tally[name, s] for s in ("pass", "fail", "skipped")])
-              for name in report.identities]
+              for name in dict.fromkeys(report.identities)]
     return _human_text(counts, [r for r in report.results if r.status == "fail"],
                        report.grid, stamp)
 

@@ -11,13 +11,10 @@ import sys
 from contextlib import contextmanager
 
 from supercatalan.dsums import (
-    DivisionCheck,
     d_psi_level1,
     d_sum_base,
     d_sum_direct,
     d_sum_step,
-    division_check,
-    psi_divisibility_check,
     psi_quotient_witness,
     psi_summand,
     unit_summand,
@@ -51,6 +48,7 @@ def test_criterion_01_full_window_factorization():
                 assert psi(2 * n, 1, l) == \
                     super_catalan(n, l) * super_catalan(n + l, n)
         assert psi(8, 1, 2) == 8624
+        assert (super_catalan(4, 2), central_binomial(4)) == (28, 70)
         assert super_catalan(4, 2) == 28
         assert super_catalan(6, 4) == 308
         assert 8624 == 28 * 308
@@ -132,11 +130,8 @@ def test_criterion_06_constructive_divisibility_witnesses():
         for n in range(11):
             for l in range(7):
                 for m in range(1, 6):
-                    check = psi_divisibility_check(n, m, l)
-                    assert check.exact
-                    assert check.quotient == psi_quotient_witness(n, m, l)
-                    assert check.dividend == psi(2 * n, m, l)
-                    assert check.divisor == super_catalan(n, l)
+                    assert divmod(psi(2 * n, m, l), super_catalan(n, l)) == \
+                        (psi_quotient_witness(n, m, l), 0)
 
 
 def test_criterion_07_even_divisibility_and_its_boundary():
@@ -146,11 +141,10 @@ def test_criterion_07_even_divisibility_and_its_boundary():
             for l in range(1, 7):
                 for m in range(1, 6):
                     assert psi(2 * n, m, l) % (2 * super_catalan(n, l)) == 0
-        assert division_check(psi(8, 1, 2), super_catalan(4, 2)) == \
-            DivisionCheck(8624, 28, 308, 0)
-        boundary = division_check(psi(8, 1, 2), central_binomial(4))
-        assert boundary == DivisionCheck(8624, 70, 123, 14)
-        assert not boundary.exact
+        assert psi(8, 1, 2) == 8624
+        assert (super_catalan(4, 2), central_binomial(4)) == (28, 70)
+        assert divmod(8624, super_catalan(4, 2)) == (308, 0)
+        assert divmod(8624, central_binomial(4)) == (123, 14)
 
 
 def test_criterion_08_route_agreement_symmetry_parity():

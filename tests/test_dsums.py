@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from supercatalan import dsums, exactnum
 from supercatalan.dsums import (
-    DivisionCheck,
     a_t,
     d_psi_level1,
     d_sum_base,
     d_sum_direct,
     d_sum_step,
-    division_check,
-    psi_divisibility_check,
     psi_quotient_witness,
     psi_summand,
     q_scaled,
@@ -204,26 +201,8 @@ def test_witness_quotient_even_for_positive_l():
 @given(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=5),
        st.integers(min_value=0, max_value=4))
 def test_witness_equals_performed_division(n, m, l):
-    check = psi_divisibility_check(n, m, l)
-    assert check.exact
-    assert psi_quotient_witness(n, m, l) == check.quotient
-
-
-def test_divisibility_check_frozen_values():
-    assert psi_divisibility_check(4, 1, 2) == DivisionCheck(8624, 28, 308, 0)
-    assert psi_divisibility_check(4, 1, 2).exact
-
-
-def test_failed_division_is_data():
-    check = division_check(psi(8, 1, 2), central_binomial(4))
-    assert check == DivisionCheck(8624, 70, 123, 14)
-    assert not check.exact
-
-
-def test_division_check_is_immutable():
-    check = division_check(6, 3)
-    with pytest.raises(AttributeError):
-        check.remainder = 1
+    assert divmod(psi(2 * n, m, l), super_catalan(n, l)) == \
+        (psi_quotient_witness(n, m, l), 0)
 
 
 def test_witness_domain_validation():

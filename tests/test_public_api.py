@@ -4,12 +4,12 @@ import supercatalan
 from supercatalan import dsums, exactnum, sums, supercat, verifier
 
 PUBLIC_NAMES = sorted([
-    "CheckResult", "DivisionCheck", "GridBounds", "IdentitySpec",
+    "CheckResult", "GridBounds", "IdentitySpec",
     "InexactDivisionError", "IntegrityError", "Report", "Summand", "a_t",
     "binomial", "catalan", "central_binomial", "d_psi_level1",
     "d_sum_base", "d_sum_direct", "d_sum_step",
-    "division_check", "exact_div", "factorial", "get_identity", "p_sum",
-    "phi", "psi", "psi_divisibility_check", "psi_quotient_witness",
+    "exact_div", "factorial", "get_identity", "p_sum",
+    "phi", "psi", "psi_quotient_witness",
     "psi_summand", "psi_t", "q_scaled", "q_sum", "r_dprime_sum",
     "r_prime_sum", "r_sum", "register", "registry_ids", "run_check",
     "super_catalan", "super_catalan_factorial", "super_catalan_ratio",

@@ -419,21 +419,30 @@ def test_default_grid_record_bytes_are_pinned(default_report):
     assert hashlib.sha256(table).hexdigest() == DEFAULT_GRID_TABLE_SHA256
 
 
+# a sweep makes no skipped row and lists every identity it ran once; a report
+# built by hand may do none of these, and its table counts what its rows hold
+_HAND_BUILT_ROWS = (
+    CheckResult("a", 0, None, None, None, "1", "1", "pass"),
+    CheckResult("a", 1, None, None, None, "", "", "skipped", "outside"),
+    CheckResult("b", 2, None, None, None, "3", "4", "fail"))
+_HAND_BUILT_TABLE = (
+    "identity   points     pass     fail     skip\n"
+    "a               2        1        0        1\n"
+    "total           2        1        0        1\n"
+    "\n"
+    "failures:\n"
+    "  b at n=2: lhs=3 rhs=4\n"
+    "grid: n<=10, l<=6, t<=n, m<=5\n")
+
+
 def test_to_human_counts_a_hand_built_report_by_status():
-    # a sweep makes no skipped row and lists every identity it ran; a report
-    # built by hand may do neither, and its table counts what its rows hold
-    rows = (CheckResult("a", 0, None, None, None, "1", "1", "pass"),
-            CheckResult("a", 1, None, None, None, "", "", "skipped", "outside"),
-            CheckResult("b", 2, None, None, None, "3", "4", "fail"))
-    report = verifier.Report(rows, ("a",), GridBounds(), 1, 1, 1, 0.0, "")
-    assert to_human(report, show_timestamp=False) == (
-        "identity   points     pass     fail     skip\n"
-        "a               2        1        0        1\n"
-        "total           2        1        0        1\n"
-        "\n"
-        "failures:\n"
-        "  b at n=2: lhs=3 rhs=4\n"
-        "grid: n<=10, l<=6, t<=n, m<=5\n")
+    report = verifier.Report(_HAND_BUILT_ROWS, ("a",), GridBounds(), 1, 1, 1, 0.0, "")
+    assert to_human(report, show_timestamp=False) == _HAND_BUILT_TABLE
+
+
+def test_to_human_prints_a_repeated_identity_once():
+    report = verifier.Report(_HAND_BUILT_ROWS, ("a", "a"), GridBounds(), 1, 1, 1, 0.0, "")
+    assert to_human(report, show_timestamp=False) == _HAND_BUILT_TABLE
 
 
 # every kind of text json.dumps escapes, plus the edge cases by name
